@@ -17,6 +17,19 @@
 //! frontier lists are reusable scratch buffers, so steady-state inserts
 //! allocate nothing.
 //!
+//! The sweep over the frontiers is output-sensitive as well: it probes
+//! only the (predecessor, successor) pairs that can still gain an
+//! entry. `from`'s row runs first and drops every successor `from`
+//! already reaches; each later row stops after one probe if its
+//! predecessor already reaches `to`; rows on `to`'s chain and columns
+//! on `from`'s chain are provably reached and never probed. Every
+//! skipped probe is one the dense sweep would answer "already reached",
+//! so the writes — and the arrays — are exactly the dense sweep's (see
+//! [`IncrementalPo::insert_edge_raw`](PartialOrderIndex::insert_edge_raw)).
+//! An insert costs `O(k·log d)` for the frontiers, one probe per
+//! predecessor row, and further probes only in rows that gain entries;
+//! the worst case stays the paper's `O(k²·log d)`.
+//!
 //! Despite storing transitive edges, the density of every array remains
 //! bounded by the cross-chain density `d` of the underlying graph
 //! (Lemma 7): new entries are only ever written at positions that
@@ -55,9 +68,12 @@ pub struct IncrementalPo<S> {
     /// Reusable closure frontiers: `(chain, position)` lists of the
     /// predecessors of `from` / successors of `to`, rebuilt per insert
     /// without allocating.
-    preds_scratch: Vec<(u32, Pos)>,
-    succs_scratch: Vec<(u32, Pos)>,
+    preds_scratch: Frontier,
+    succs_scratch: Frontier,
 }
+
+/// A closure frontier: one `(chain, position)` node per chain.
+type Frontier = Vec<(u32, Pos)>;
 
 /// The paper's incremental CSST: [`IncrementalPo`] over
 /// [`SparseSegmentTree`] arrays.
@@ -153,6 +169,60 @@ impl<S: SuffixMinima> IncrementalPo<S> {
             self.tgt_adj[t1].push(t2 as u32);
         }
     }
+
+    /// The closure frontiers of an `from → to` insert, from the
+    /// pre-insert state, walking live pairs only: `from` followed by
+    /// the latest predecessor of `from` in every other chain (lines
+    /// 10–11), and `to` followed by the earliest successor of `to` in
+    /// every other chain (lines 12–13). Both lists live in the scratch
+    /// buffers, which the caller hands back after the closure.
+    fn frontiers(&mut self, from: NodeId, to: NodeId) -> (Frontier, Frontier) {
+        let (t1, j1) = (from.thread.index(), from.pos);
+        let (t2, j2) = (to.thread.index(), to.pos);
+        let mut preds = std::mem::take(&mut self.preds_scratch);
+        preds.clear();
+        preds.push((t1 as u32, j1));
+        for &t in &self.src_adj[t1] {
+            if let Some(p) = self.arrays.get(t as usize, t1).argleq(j1) {
+                preds.push((t, p as Pos));
+            }
+        }
+        let mut succs = std::mem::take(&mut self.succs_scratch);
+        succs.clear();
+        succs.push((t2 as u32, j2));
+        for &t in &self.tgt_adj[t2] {
+            let v = self.arrays.get(t2, t as usize).suffix_min(j2 as usize);
+            if v != INF {
+                succs.push((t, v));
+            }
+        }
+        (preds, succs)
+    }
+
+    /// The unpruned closure: probes every (predecessor, successor)
+    /// pair. Kept as the reference the output-sensitive
+    /// [`insert_edge_raw`](PartialOrderIndex::insert_edge_raw) must
+    /// match write for write.
+    #[cfg(test)]
+    fn insert_edge_reference(&mut self, from: NodeId, to: NodeId) {
+        let (preds, succs) = self.frontiers(from, to);
+        for &(tp1, jp1) in &preds {
+            let tp1 = tp1 as usize;
+            for &(tp2, jp2) in &succs {
+                let tp2 = tp2 as usize;
+                if tp1 == tp2 {
+                    continue;
+                }
+                if self.successor_raw(tp1, jp1, tp2) > jp2 {
+                    self.arrays.get_mut(tp1, tp2).update(jp1 as usize, jp2);
+                    self.mark_pair(tp1, tp2);
+                }
+            }
+        }
+        self.edges += 1;
+        self.preds_scratch = preds;
+        self.succs_scratch = succs;
+    }
 }
 
 impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
@@ -220,10 +290,29 @@ impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
     /// hold a predecessor of `from` only if its array into `from`'s
     /// chain is non-empty, and a successor of `to` only if `to`'s
     /// chain has an array into it — and are built in reusable scratch
-    /// buffers, so the insert allocates nothing in steady state. The
-    /// relaxation set (and therefore every array state) is identical
-    /// to the dense sweep's: pairs it skips could only have produced
-    /// `None`/[`INF`] frontier entries, which the dense loop skips too.
+    /// buffers, so the insert allocates nothing in steady state.
+    ///
+    /// The closure is output-sensitive: it probes only the
+    /// (predecessor, successor) pairs that can still gain an entry.
+    /// Every prune skips a pair whose probe is provably `≤` the
+    /// successor already, so the write set — and with it every array
+    /// state, density and `memory_bytes()` — is the dense sweep's:
+    ///
+    /// * `from`'s own row runs first, and every successor `from`
+    ///   already reaches leaves the frontier: each predecessor reaches
+    ///   `from`, so by transitive closure it reaches that successor too.
+    /// * Each later row probes `to`'s column (the frontier's head)
+    ///   first and stops at once if the predecessor already reaches
+    ///   `to`, and with it every successor. That probe is one the dense
+    ///   row makes anyway, so single-successor inserts pay nothing extra.
+    /// * Rows on `to`'s chain and columns on `from`'s chain are skipped
+    ///   unprobed: a predecessor `⟨t2, p⟩` of `from` with `p ≥ j2`, or a
+    ///   successor `⟨t1, s⟩` of `to` with `s ≤ j1`, would close a cycle,
+    ///   so acyclicity places them before `to` / after `from` in
+    ///   program order.
+    ///
+    /// A row reads and writes only the arrays out of its own chain, so
+    /// every probe still sees the pre-insert state, as in the paper.
     ///
     /// The caller must keep the relation acyclic (use
     /// [`PartialOrderIndex::insert_edge_checked`] when unsure); an
@@ -237,30 +326,28 @@ impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
     /// sequential contract the property tests pin.
     fn insert_edge_raw(&mut self, from: NodeId, to: NodeId) {
         let (t1, j1) = (from.thread.index(), from.pos);
-        let (t2, j2) = (to.thread.index(), to.pos);
-        // Pre-compute, from the pre-insert state, the frontier of
-        // predecessors of `from` (lines 10–11) and successors of `to`
-        // (lines 12–13), walking live pairs only.
-        let mut preds = std::mem::take(&mut self.preds_scratch);
-        preds.clear();
-        preds.push((t1 as u32, j1));
-        for &t in &self.src_adj[t1] {
-            if let Some(p) = self.arrays.get(t as usize, t1).argleq(j1) {
-                preds.push((t, p as Pos));
+        let t2 = to.thread.index();
+        let (preds, mut succs) = self.frontiers(from, to);
+        // `from`'s row: connect it to every successor it does not reach
+        // yet; those are the only columns any other row can gain.
+        succs.retain(|&(tp2, jp2)| {
+            let tp2 = tp2 as usize;
+            if tp2 == t1 || self.successor_raw(t1, j1, tp2) <= jp2 {
+                return false;
             }
-        }
-        let mut succs = std::mem::take(&mut self.succs_scratch);
-        succs.clear();
-        succs.push((t2 as u32, j2));
-        for &t in &self.tgt_adj[t2] {
-            let v = self.arrays.get(t2, t as usize).suffix_min(j2 as usize);
-            if v != INF {
-                succs.push((t, v));
-            }
-        }
-        for &(tp1, jp1) in &preds {
+            self.arrays.get_mut(t1, tp2).update(j1 as usize, jp2);
+            self.mark_pair(t1, tp2);
+            true
+        });
+        // Unless `from` already reached `to` — and with it every
+        // successor, emptying the frontier — `to`'s column is its head.
+        debug_assert!(succs.first().is_none_or(|&(tp2, _)| tp2 as usize == t2));
+        for &(tp1, jp1) in &preds[1..] {
             let tp1 = tp1 as usize;
-            for &(tp2, jp2) in &succs {
+            if tp1 == t2 {
+                continue;
+            }
+            for (i, &(tp2, jp2)) in succs.iter().enumerate() {
                 let tp2 = tp2 as usize;
                 if tp1 == tp2 {
                     continue;
@@ -268,6 +355,8 @@ impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
                 if self.successor_raw(tp1, jp1, tp2) > jp2 {
                     self.arrays.get_mut(tp1, tp2).update(jp1 as usize, jp2);
                     self.mark_pair(tp1, tp2);
+                } else if i == 0 {
+                    break; // reaches `to`, hence every successor
                 }
             }
         }
@@ -395,6 +484,7 @@ impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn n(t: u32, i: u32) -> NodeId {
         NodeId::new(t, i)
@@ -583,5 +673,110 @@ mod tests {
             "Lemma 7 violated: density {} > cross-chain density 2",
             stats.max_peak
         );
+    }
+
+    /// One step of an exact-state script: `(a, pa, b, pb, shape)`.
+    /// Chains are reduced modulo a bound that grows with the step, so
+    /// chains appear mid-script up to `k = 12`.
+    type Step = (u32, u32, u32, u32, u8);
+
+    /// Turns a raw step into an edge of the given `shape` against the
+    /// current state: `0` arbitrary; `1` redundant (into `from`'s
+    /// earliest successor on `b` or later); `2` a `to` after `from`'s
+    /// latest predecessor on `b`, so a predecessor row sits on `to`'s
+    /// chain; `3` a `from` before `to`'s earliest successor on `a`, so
+    /// a successor column sits on `from`'s chain.
+    fn shape_edge<S: SuffixMinima>(
+        po: &IncrementalPo<S>,
+        step: usize,
+        (a, pa, b, pb, shape): Step,
+    ) -> (NodeId, NodeId) {
+        let live = (2 + step / 4).min(12) as u32;
+        let (a, b) = (a % live, b % live);
+        let (u, v) = (n(a, pa), n(b, pb));
+        match shape {
+            1 => match po.successor(u, ThreadId(b)) {
+                Some(s) => (u, n(b, s + pb % 3)),
+                None => (u, v),
+            },
+            2 => match po.predecessor(u, ThreadId(b)) {
+                Some(p) => (u, n(b, p + 1 + pb % 3)),
+                None => (u, v),
+            },
+            3 => match po.successor(v, ThreadId(a)) {
+                Some(s) if s > 0 => (n(a, s - 1 - pa % s.min(3)), v),
+                _ => (u, v),
+            },
+            _ => (u, v),
+        }
+    }
+
+    /// Drives the output-sensitive closure and the unpruned reference
+    /// through the same acyclic script and asserts, after every insert,
+    /// that both hold byte-for-byte the same arrays (and entries), the
+    /// same live-pair adjacency, density statistics and footprint.
+    fn assert_same_writes<S: SuffixMinima + std::fmt::Debug>(
+        script: &[Step],
+        entries: impl Fn(&S) -> Option<Vec<(usize, Pos)>>,
+    ) {
+        let mut fast = IncrementalPo::<S>::new();
+        let mut reference = IncrementalPo::<S>::new();
+        for (step, &raw) in script.iter().enumerate() {
+            let (u, v) = shape_edge(&fast, step, raw);
+            if u.thread == v.thread || fast.reachable(v, u) {
+                continue; // same-chain or cycle-closing: not a valid insert
+            }
+            fast.insert_edge(u, v).unwrap();
+            reference.check_edge(u, v).unwrap();
+            reference.ensure_len(u.thread, u.pos as usize + 1);
+            reference.ensure_len(v.thread, v.pos as usize + 1);
+            reference.insert_edge_reference(u, v);
+
+            let k = fast.chains();
+            assert_eq!(k, reference.chains());
+            for x in 0..k {
+                for y in (0..k).filter(|&y| y != x) {
+                    let (fa, ra) = (fast.arrays.get(x, y), reference.arrays.get(x, y));
+                    assert_eq!(
+                        entries(fa),
+                        entries(ra),
+                        "entries of A_{x}^{y} after {u} -> {v}"
+                    );
+                    assert_eq!(
+                        format!("{fa:?}"),
+                        format!("{ra:?}"),
+                        "state of A_{x}^{y} after {u} -> {v}"
+                    );
+                }
+            }
+            assert_eq!(fast.pair_live, reference.pair_live);
+            assert_eq!(fast.src_adj, reference.src_adj);
+            assert_eq!(fast.tgt_adj, reference.tgt_adj);
+            assert_eq!(fast.density_stats(), reference.density_stats());
+            assert_eq!(fast.memory_bytes(), reference.memory_bytes());
+            assert_eq!(fast.edge_count(), reference.edge_count());
+        }
+    }
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        prop::collection::vec((0u32..12, 0u32..24, 0u32..12, 0u32..24, 0u8..4), 1..80)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn csst_closure_writes_match_reference(script in steps()) {
+            assert_same_writes::<SparseSegmentTree>(&script, |a| {
+                let mut e = a.entries();
+                e.sort_unstable();
+                Some(e)
+            });
+        }
+
+        #[test]
+        fn segtree_closure_writes_match_reference(script in steps()) {
+            assert_same_writes::<SegmentTree>(&script, |_| None);
+        }
     }
 }

@@ -207,3 +207,46 @@ fn open_with_retry_waits_for_a_late_server() {
     server.join().unwrap().expect("server exits cleanly");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Text-format EVENTS frames naming a thread beyond the addressable
+/// chains get a `decode:` ERROR naming the line — one used to abort the
+/// server on a multi-GB allocation, the other to panic in the index —
+/// while a concurrent healthy text session completes unaffected.
+#[test]
+fn hostile_text_thread_ids_are_decode_errors() {
+    let (addr, handle) = spawn_server_with(ServerCfg::default());
+    let tcp = addr.strip_prefix("tcp:").unwrap();
+    let text_hello = Hello {
+        format: WireFormat::Text,
+        ..Hello::default()
+    };
+
+    let mut healthy = Client::open(&addr, &text_hello).expect("open healthy session");
+    healthy
+        .send_trace(&registry::find("hb").unwrap().demo_trace())
+        .expect("send");
+
+    for frame in ["t4000000000 w x0 1\n", "t0 w x0 1\nt70000 w x0 1\n"] {
+        let mut stream = TcpStream::connect(tcp).unwrap();
+        write_frame(&mut stream, T_HELLO, &text_hello.encode()).unwrap();
+        assert_eq!(read_frame(&mut stream).unwrap().unwrap().0, T_OK);
+        write_frame(&mut stream, T_EVENTS, frame.as_bytes()).unwrap();
+        let (tag, payload) = read_frame(&mut stream).unwrap().expect("error reply");
+        assert_eq!(tag, T_ERROR);
+        let msg = String::from_utf8(payload).unwrap();
+        assert!(msg.starts_with("decode:"), "{msg}");
+        let line = frame.lines().count();
+        assert!(msg.contains(&format!("line {line}:")), "{msg}");
+        assert!(msg.contains("addressable chains"), "{msg}");
+    }
+
+    let report = healthy.finish().expect("healthy report");
+    let (code, summary, lines) = batch_hb_report();
+    assert_eq!(
+        (report.exit_code, report.summary, report.lines),
+        (code, summary, lines)
+    );
+
+    Client::shutdown_server(&addr).expect("shutdown");
+    handle.join().unwrap().expect("server exits cleanly");
+}

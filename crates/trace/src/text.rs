@@ -27,7 +27,7 @@
 
 use crate::event::{EventKind, LockId, MemOrder, Method, ObjId, OpId, VarId};
 use crate::trace::Trace;
-use csst_core::ThreadId;
+use csst_core::{ThreadId, MAX_CHAINS};
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -62,6 +62,20 @@ fn parse_id(tok: &str, prefix: &str, line: usize) -> Result<u32, ParseError> {
         .ok_or_else(|| err(line, format!("expected {prefix}<n>, got `{tok}`")))
 }
 
+/// Parses a `t<n>` thread id, rejecting ids beyond the
+/// [`MAX_CHAINS`] chains an index can address: the trace would
+/// allocate a thread table that large, and every index would refuse it.
+fn parse_thread(tok: &str, line: usize) -> Result<ThreadId, ParseError> {
+    let t = parse_id(tok, "t", line)?;
+    if t as usize >= MAX_CHAINS {
+        return Err(err(
+            line,
+            format!("thread id `{tok}` beyond the {MAX_CHAINS} addressable chains"),
+        ));
+    }
+    Ok(ThreadId(t))
+}
+
 fn parse_u64(tok: &str, line: usize) -> Result<u64, ParseError> {
     tok.parse()
         .map_err(|_| err(line, format!("expected integer, got `{tok}`")))
@@ -71,7 +85,9 @@ fn parse_u64(tok: &str, line: usize) -> Result<u64, ParseError> {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] describing the first malformed line.
+/// Returns a [`ParseError`] describing the first malformed line,
+/// including a thread id (of the event or of a `fork`/`join` child) at
+/// or beyond [`MAX_CHAINS`].
 pub fn parse(input: &str) -> Result<Trace, ParseError> {
     let mut trace = Trace::new(0);
     for (lineno, raw) in input.lines().enumerate() {
@@ -84,7 +100,7 @@ pub fn parse(input: &str) -> Result<Trace, ParseError> {
         if toks.len() < 2 {
             return Err(err(lineno, "expected `<thread> <op> [args...]`"));
         }
-        let t = ThreadId(parse_id(toks[0], "t", lineno)?);
+        let t = parse_thread(toks[0], lineno)?;
         let need = |n: usize| -> Result<(), ParseError> {
             if toks.len() != n {
                 Err(err(
@@ -125,13 +141,13 @@ pub fn parse(input: &str) -> Result<Trace, ParseError> {
             "fork" => {
                 need(3)?;
                 EventKind::Fork {
-                    child: ThreadId(parse_id(toks[2], "t", lineno)?),
+                    child: parse_thread(toks[2], lineno)?,
                 }
             }
             "join" => {
                 need(3)?;
                 EventKind::Join {
-                    child: ThreadId(parse_id(toks[2], "t", lineno)?),
+                    child: parse_thread(toks[2], lineno)?,
                 }
             }
             "alloc" => {
@@ -337,5 +353,24 @@ t0 res op0 1
         assert!(e.message.contains("integer"));
         let e = parse("t0 inv op0 push 1").unwrap_err();
         assert!(e.message.contains("method"));
+    }
+
+    #[test]
+    fn thread_ids_beyond_the_chain_universe_are_rejected() {
+        // Each of these used to reach the indexes: a multi-GB thread
+        // table for the first, a panic in the chain domain for the rest.
+        for (input, line) in [
+            ("t4000000000 w x0 1", 1),
+            ("t0 w x0 1\nt70000 w x0 1", 2),
+            ("t0 fork t65536", 1),
+            ("t0 w x0 1\n\nt0 join t70000", 3),
+        ] {
+            let e = parse(input).unwrap_err();
+            assert_eq!(e.line, line, "{input}");
+            assert!(e.message.contains("addressable chains"), "{e}");
+        }
+        // The largest addressable id still parses.
+        let last = format!("t{} w x0 1\nt0 fork t{}", MAX_CHAINS - 1, MAX_CHAINS - 1);
+        assert_eq!(parse(&last).unwrap().num_threads(), MAX_CHAINS);
     }
 }
