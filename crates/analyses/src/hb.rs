@@ -61,11 +61,7 @@ pub struct HbReport<P> {
 /// release→acquire matching, and fork/join resolution are pure
 /// bookkeeping over per-thread counters.
 ///
-/// [`HbDetector`] runs one of these in front of its index; the sharded
-/// ingest pipeline (`csst-serve`) runs the *same* tracker on the router
-/// thread and broadcasts the emitted edges to every shard replica —
-/// sharing the implementation is what makes the sharded and sequential
-/// detectors agree edge-for-edge.
+/// [`HbDetector`] runs one of these in front of its index.
 #[derive(Debug, Default)]
 pub struct SyncTracker {
     /// Events seen so far per thread (the next event's position).
@@ -156,13 +152,9 @@ struct VarState {
 /// write plus every thread's last read, checked against each new access
 /// by reachability probes into a caller-supplied index.
 ///
-/// This is the expensive half of HB detection (the probes), split out
-/// so the sharded pipeline can partition it by variable: each shard
-/// worker owns the frontier of the variables routed to it and probes
-/// its own index replica. Race callbacks report `(probe_idx, src)`
-/// where `probe_idx` is the position within the event's deterministic
-/// probe order (last write first, then last reads by thread index), so
-/// callers can reconstruct the sequential detector's exact race order.
+/// This is the expensive half of HB detection (the probes). Races are
+/// reported in a deterministic probe order: last write first, then last
+/// reads by thread index.
 #[derive(Debug, Default)]
 pub struct AccessFrontier {
     vars: HashMap<VarId, VarState>,
@@ -187,15 +179,15 @@ impl AccessFrontier {
     }
 
     /// Checks access `id` to `var` against the frontier over `po`,
-    /// calling `report(probe_idx, src)` for every unordered conflicting
-    /// source, then advances the frontier.
+    /// calling `report(src)` for every unordered conflicting source,
+    /// then advances the frontier.
     pub fn on_access<P: PartialOrderIndex>(
         &mut self,
         po: &P,
         id: NodeId,
         var: VarId,
         is_write: bool,
-        mut report: impl FnMut(usize, NodeId),
+        mut report: impl FnMut(NodeId),
     ) {
         let st = self.vars.entry(var).or_insert_with(|| VarState {
             last_write: None,
@@ -204,7 +196,7 @@ impl AccessFrontier {
         if !is_write {
             if let Some(w) = st.last_write {
                 if w.thread != id.thread && !po.reachable(w, id) {
-                    report(0, w);
+                    report(w);
                 }
             }
             *Self::read_slot(st, id.thread) = Some(id);
@@ -226,9 +218,9 @@ impl AccessFrontier {
             }
         }
         po.reachable_batch(&self.probe_buf, &mut self.reach_buf);
-        for (i, (&(src, _), &ordered)) in self.probe_buf.iter().zip(&self.reach_buf).enumerate() {
+        for (&(src, _), &ordered) in self.probe_buf.iter().zip(&self.reach_buf) {
             if !ordered {
-                report(i, src);
+                report(src);
             }
         }
         st.last_write = Some(id);
@@ -271,8 +263,8 @@ pub struct HbDetector<P> {
 
 impl<P: PartialOrderIndex> HbDetector<P> {
     /// The happens-before index built so far (for online ordering
-    /// queries against the live detector — `csst-serve`'s degraded
-    /// mode answers `ordered` queries from here).
+    /// queries against the live detector — `csst-serve`'s hb sessions
+    /// answer `ordered` queries from here).
     pub fn index(&self) -> &P {
         &self.hb
     }
@@ -317,10 +309,9 @@ impl<P: PartialOrderIndex> Analysis for HbDetector<P> {
             EventKind::Read { var, .. } | EventKind::Write { var, .. } => {
                 let is_write = matches!(event, EventKind::Write { .. });
                 let races = &mut self.races;
-                self.frontier
-                    .on_access(&self.hb, id, var, is_write, |_, src| {
-                        races.push((src, id));
-                    });
+                self.frontier.on_access(&self.hb, id, var, is_write, |src| {
+                    races.push((src, id));
+                });
             }
             _ => {}
         }

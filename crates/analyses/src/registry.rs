@@ -14,7 +14,7 @@
 //! [`crate::Analysis`] soundness contract.
 
 use crate::{c11, deadlock, hb, linearizability, membug, race, tso, uaf};
-use csst_core::{Csst, GraphIndex, IncrementalCsst, SegTreeIndex, VectorClockIndex};
+use csst_core::{Csst, GraphIndex, IncrementalCsst, SegTreeIndex, VectorClockIndex, MAX_CHAINS};
 use csst_trace::gen;
 use csst_trace::Trace;
 
@@ -213,7 +213,17 @@ static ENTRIES: [AnalysisEntry; 8] = [
     AnalysisEntry {
         name: "tso",
         description: "x86-TSO consistency checking (Table 4)",
-        run: |trace, index, window| streaming_dispatch!(index, window, run_tso, trace),
+        run: |trace, index, window| {
+            // Two chains per thread: issue and commit.
+            if 2 * trace.num_threads() > MAX_CHAINS {
+                return Err(format!(
+                    "x86-TSO needs two chains per thread: {} threads exceed the \
+                     {MAX_CHAINS} addressable chains",
+                    trace.num_threads()
+                ));
+            }
+            streaming_dispatch!(index, window, run_tso, trace)
+        },
         demo: || {
             gen::tso_history(&gen::TsoCfg {
                 threads: 5,
@@ -303,7 +313,13 @@ fn run_hb_entry(
 }
 
 fn run_hb<P: csst_core::PartialOrderIndex>(trace: &Trace) -> RunOutput {
-    let r = hb::detect::<P>(trace);
+    hb_output(&hb::detect::<P>(trace))
+}
+
+/// Formats an hb report exactly as the `hb` entry prints it; streaming
+/// hb sessions in `csst-serve` share it so their reports match the
+/// batch CLI byte for byte.
+pub fn hb_output<P>(r: &hb::HbReport<P>) -> RunOutput {
     RunOutput {
         lines: r
             .races
@@ -500,6 +516,31 @@ fn run_linearizability(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tso_refuses_more_threads_than_it_has_chain_pairs() {
+        use csst_trace::{EventKind, VarId};
+        let tso = find("tso").unwrap();
+        let trace_of = |threads: u32| {
+            let mut t = Trace::new(0);
+            for thread in 0..threads {
+                t.push(
+                    thread,
+                    EventKind::Write {
+                        var: VarId(0),
+                        value: 1,
+                    },
+                );
+            }
+            t
+        };
+        let half = (MAX_CHAINS / 2) as u32;
+        assert!(tso.run(&trace_of(half), IndexKind::Csst, None).is_ok());
+        let e = tso
+            .run(&trace_of(half + 1), IndexKind::Csst, None)
+            .unwrap_err();
+        assert!(e.contains("addressable chains"), "{e}");
+    }
 
     #[test]
     fn all_entries_run_on_their_demo_traces() {

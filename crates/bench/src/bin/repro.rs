@@ -221,7 +221,6 @@ fn main() {
             cfg.sweep_inserts = ((cfg.sweep_inserts as f64 * scale) as usize).max(100);
             cfg.sweep_queries = ((cfg.sweep_queries as f64 * scale) as usize).max(100);
             cfg.ratio_queries = ((cfg.ratio_queries as f64 * scale) as usize).max(100);
-            cfg.ingest_events = ((cfg.ingest_events as f64 * scale) as usize).max(100);
         }
         let measurements = perf::run_repeated(&cfg, args.repeat);
         println!("{}", perf::render(&measurements));

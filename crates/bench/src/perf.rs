@@ -12,12 +12,7 @@
 //! friends) — the hot path the analyses use — while the batch-size
 //! sweep varies the probes-per-call count to expose the amortization
 //! curve from per-call overhead (`query_batch1`) to full group sweeps
-//! (`query_batch256`). The shard sweep `ingest_shards{1,2,4,8}`
-//! streams a generated racy program through the sharded HB pipeline
-//! (`csst_serve::ShardedHb`) at each worker count — the multi-core
-//! ingest scaling figure; on a single-core machine the curve is flat
-//! (or slightly inverted, paying the channel overhead), so read it
-//! together with the host's core count. The machine-readable JSON this
+//! (`query_batch256`). The machine-readable JSON this
 //! module emits (`BENCH_PR7.json` via `scripts/bench.sh`) is the perf
 //! trajectory future PRs are compared against
 //! (`scripts/bench.sh --compare OLD.json NEW.json` diffs two runs and
@@ -33,8 +28,6 @@ use csst_core::{
     AnchoredVectorClockIndex, Csst, GraphIndex, IncrementalCsst, NodeId, PartialOrderIndex,
     SegTreeIndex, VectorClockIndex,
 };
-use csst_serve::{ShardCfg, ShardedHb};
-use csst_trace::gen;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -63,8 +56,6 @@ pub struct BenchCfg {
     pub sweep_queries: usize,
     /// Queries issued across each `query_update_r*` ratio point.
     pub ratio_queries: usize,
-    /// Trace events streamed through each `ingest_shards*` point.
-    pub ingest_events: usize,
     /// `true` for the CI smoke run (tiny sizes, numbers meaningless).
     pub smoke: bool,
 }
@@ -82,7 +73,6 @@ impl BenchCfg {
             sweep_inserts: 8_000,
             sweep_queries: 8_000,
             ratio_queries: 16_000,
-            ingest_events: 16_000,
             smoke: false,
         }
     }
@@ -99,7 +89,6 @@ impl BenchCfg {
             sweep_inserts: 400,
             sweep_queries: 300,
             ratio_queries: 600,
-            ingest_events: 600,
             smoke: true,
         }
     }
@@ -536,50 +525,6 @@ fn run_query_update<P: PartialOrderIndex>(
     )
 }
 
-/// One point of the shard sweep (`ingest_shards{1,2,4,8}`): a
-/// generated racy program streamed end-to-end through the sharded HB
-/// pipeline at `shards` worker threads (router + workers, watermark
-/// protocol, final merge — the whole `csst-serve` ingest path). Ops
-/// are trace events; memory is the summed per-shard replica footprint
-/// reported by the workers plus the router's own index. Scaling with
-/// the shard count needs real cores: on a one-core host every point
-/// costs the same CPU and the extra shards only add channel overhead.
-fn run_ingest_shards<P: PartialOrderIndex + 'static>(
-    cfg: &BenchCfg,
-    repr: &'static str,
-    display: &'static str,
-    shards: usize,
-    workload: &'static str,
-) -> Measurement {
-    let threads = 8usize;
-    let trace = gen::racy_program(&gen::RacyProgramCfg {
-        threads,
-        events_per_thread: (cfg.ingest_events / threads).max(1),
-        vars: 16,
-        lock_frac: 0.3,
-        shared_frac: 0.5,
-        // Same trace at every shard count: the sweep compares worker
-        // counts, not inputs.
-        seed: 0x5EED,
-        ..Default::default()
-    });
-    let start = Instant::now();
-    let report = ShardedHb::<P>::run(&trace, ShardCfg::with_shards(shards))
-        .expect("no faults injected: the sharded pipeline cannot fail here");
-    let elapsed = start.elapsed().as_nanos();
-    std::hint::black_box(report.races.len());
-    let mem: usize = report.shard_bytes.iter().sum();
-    measurement(
-        workload,
-        repr,
-        display,
-        report.events as usize,
-        elapsed,
-        mem,
-        mem,
-    )
-}
-
 /// Runs every workload over every representation.
 pub fn run(cfg: &BenchCfg) -> Vec<Measurement> {
     macro_rules! all_reprs {
@@ -632,18 +577,6 @@ pub fn run(cfg: &BenchCfg) -> Vec<Measurement> {
         );
         out.extend(all_reprs!(run_query_batch, b, name));
     }
-    for (s, name) in [
-        (1usize, "ingest_shards1"),
-        (2, "ingest_shards2"),
-        (4, "ingest_shards4"),
-        (8, "ingest_shards8"),
-    ] {
-        eprintln!(
-            "# bench: {name} ({} events through {s} shard worker(s))…",
-            cfg.ingest_events
-        );
-        out.extend(all_reprs!(run_ingest_shards, s, name));
-    }
     out
 }
 
@@ -685,9 +618,9 @@ pub fn to_json(cfg: &BenchCfg, repeat: usize, measurements: &[Measurement]) -> S
         if cfg.smoke { "smoke" } else { "full" }
     ));
     out.push_str(&format!(
-        "  \"config\": {{\"k\": {}, \"inserts\": {}, \"gap\": {}, \"churn_window\": {}, \"churn_ops\": {}, \"queries\": {}, \"sweep_inserts\": {}, \"sweep_queries\": {}, \"ratio_queries\": {}, \"ingest_events\": {}, \"repeat\": {}}},\n",
+        "  \"config\": {{\"k\": {}, \"inserts\": {}, \"gap\": {}, \"churn_window\": {}, \"churn_ops\": {}, \"queries\": {}, \"sweep_inserts\": {}, \"sweep_queries\": {}, \"ratio_queries\": {}, \"repeat\": {}}},\n",
         cfg.k, cfg.inserts, cfg.gap, cfg.churn_window, cfg.churn_ops, cfg.queries,
-        cfg.sweep_inserts, cfg.sweep_queries, cfg.ratio_queries, cfg.ingest_events, repeat
+        cfg.sweep_inserts, cfg.sweep_queries, cfg.ratio_queries, repeat
     ));
     out.push_str("  \"measurements\": [\n");
     for (i, m) in measurements.iter().enumerate() {
@@ -750,12 +683,11 @@ mod tests {
             sweep_inserts: 24,
             sweep_queries: 18,
             ratio_queries: 48,
-            ingest_events: 64,
             smoke: true,
         };
         let ms = run(&cfg);
-        // 17 workloads × 6 representations.
-        assert_eq!(ms.len(), 102);
+        // 13 workloads × 6 representations.
+        assert_eq!(ms.len(), 78);
         for m in &ms {
             if m.supported {
                 assert!(
@@ -781,10 +713,6 @@ mod tests {
             "query_batch1",
             "query_batch16",
             "query_batch256",
-            "ingest_shards1",
-            "ingest_shards2",
-            "ingest_shards4",
-            "ingest_shards8",
         ] {
             assert!(
                 ms.iter().any(|m| m.workload == name && m.supported),

@@ -540,15 +540,6 @@ impl<S: SuffixMinima> DynamicPo<S> {
         self.edges
     }
 
-    /// The current update epoch: bumped by every successful edge
-    /// insert/delete. Cached query closures are valid exactly while the
-    /// epoch stands still, so shard replicas exposing this number let a
-    /// coordinator cheaply detect whether two replicas of the same edge
-    /// stream have applied the same prefix of updates.
-    pub fn update_epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Per-array density statistics (the `q` column of the tables).
     pub fn density_stats(&self) -> DensityStats {
         self.arrays.density_stats()

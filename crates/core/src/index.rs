@@ -27,7 +27,13 @@ pub const MAX_POS: Pos = (1 << 31) - 1;
 /// are *genuinely invalid* and rejected with
 /// [`PoError::OutOfRange`](crate::PoError::OutOfRange); within it, the
 /// witnessed domain grows on demand.
-pub const MAX_CHAINS: usize = 1 << 16;
+///
+/// The CSSTs keep a dense `k × k` matrix of per-pair arrays, so the
+/// limit is set by what that matrix can allocate: 256 chains is four
+/// times the paper's largest `k` and costs ~12 MB of `Csst` state after
+/// one event on the last chain (~193 MB at 1024). The trace decoders
+/// enforce the same limit on every thread id they read.
+pub const MAX_CHAINS: usize = 1 << 8;
 
 /// Largest chain count whose closure frontiers fit in one `u64` bitset
 /// word. The query engines use the packed-word frontier up to this many

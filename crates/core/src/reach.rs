@@ -74,11 +74,11 @@ use crate::index::{NodeId, Pos, ThreadId, MAX_BITSET_CHAINS, MAX_CHAINS, MAX_POS
 ///
 /// # Send-safety
 ///
-/// The trait requires [`Send`]: indexes are the per-shard state of the
-/// multi-core ingest pipeline (`csst-serve`), so every representation
-/// must be movable into a worker thread. Interior mutability inside an
-/// index (query scratch, memos) is fine — [`RefCell`](std::cell::RefCell)
-/// is `Send` — but thread-pinned state (`Rc`, thread locals) is not.
+/// The trait requires [`Send`]: `csst-serve` runs every session on its
+/// own thread, so every representation must be movable into one.
+/// Interior mutability inside an index (query scratch, memos) is fine —
+/// [`RefCell`](std::cell::RefCell) is `Send` — but thread-pinned state
+/// (`Rc`, thread locals) is not.
 ///
 /// [`chains`]: PartialOrderIndex::chains
 /// [`chain_len`]: PartialOrderIndex::chain_len

@@ -25,8 +25,8 @@ use crate::index::{Pos, INF};
 /// All indices are `usize` positions in `[0, len)`; values are [`Pos`]
 /// with [`INF`] denoting an empty entry. `Send` is required so the
 /// indexes built over these arrays satisfy the
-/// [`PartialOrderIndex`](crate::PartialOrderIndex) Send bound (shard
-/// workers own their index).
+/// [`PartialOrderIndex`](crate::PartialOrderIndex) Send bound (service
+/// session threads own their index).
 pub trait SuffixMinima: Send {
     /// Creates a structure representing an array of `len` entries, all
     /// initially empty (`∞`).

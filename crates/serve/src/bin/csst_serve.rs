@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! csst-serve [--listen tcp:HOST:PORT | --listen unix:/path]
-//!            [--idle-timeout-ms N] [--query-deadline-ms N]
-//!            [--max-sessions N] [--faults SPEC]
+//!            [--idle-timeout-ms N] [--max-sessions N] [--faults SPEC]
 //! ```
 //!
 //! Prints `listening on <addr>` once bound (with the OS-chosen port
@@ -38,11 +37,6 @@ fn main() -> ExitCode {
                     .map(|ms| cfg.idle_timeout = Duration::from_millis(ms))
                     .map_err(|_| "--idle-timeout-ms wants a number".into())
             }),
-            "--query-deadline-ms" => value(&mut args, "--query-deadline-ms").and_then(|v| {
-                v.parse::<u64>()
-                    .map(|ms| cfg.query_deadline = Duration::from_millis(ms))
-                    .map_err(|_| "--query-deadline-ms wants a number".into())
-            }),
             "--max-sessions" => value(&mut args, "--max-sessions").and_then(|v| {
                 v.parse::<usize>()
                     .map(|n| cfg.max_sessions = n.max(1))
@@ -52,8 +46,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: csst-serve [--listen tcp:HOST:PORT | --listen unix:/path] \
-                     [--idle-timeout-ms N] [--query-deadline-ms N] [--max-sessions N] \
-                     [--faults SPEC]"
+                     [--idle-timeout-ms N] [--max-sessions N] [--faults SPEC]"
                 );
                 return ExitCode::SUCCESS;
             }

@@ -6,13 +6,11 @@
 //!
 //! * **session-fatal** errors ([`Protocol`](ServeError::Protocol),
 //!   [`Decode`](ServeError::Decode), [`Deadline`](ServeError::Deadline),
-//!   [`Backpressure`](ServeError::Backpressure), [`Io`](ServeError::Io))
+//!   [`WorkerPanic`](ServeError::WorkerPanic), [`Io`](ServeError::Io))
 //!   end one session with a structured ERROR frame; every other session
-//!   and the server itself keep running;
-//! * **component-fatal** errors ([`WorkerPanic`](ServeError::WorkerPanic))
-//!   kill one shard worker; the owning engine degrades to its
-//!   sequential fallback and the session still produces a correct
-//!   report;
+//!   and the server itself keep running (a panicked race witness chunk
+//!   is retried sequentially first, and surfaces only if the retry
+//!   panics too);
 //! * **recoverable** errors ([`Query`](ServeError::Query)) answer one
 //!   frame with an ERROR reply and leave the session open.
 //!
@@ -40,20 +38,12 @@ pub enum ServeError {
     /// An online query was malformed or unsupported; the session
     /// stays open.
     Query(String),
-    /// A shard or witness worker panicked; the message carries the
-    /// captured panic payload.
+    /// A session, batch analysis or witness worker panicked; the
+    /// message carries the captured panic payload.
     WorkerPanic(String),
-    /// A bounded channel stayed full past the send deadline.
-    Backpressure {
-        /// The shard whose channel was full.
-        shard: usize,
-        /// How long the sender waited before giving up.
-        waited: Duration,
-    },
-    /// An operation missed its deadline (flush barrier, idle session,
-    /// query).
+    /// An operation missed its deadline (an idle session).
     Deadline {
-        /// What timed out (`"flush"`, `"idle session"`, …).
+        /// What timed out (`"idle session"`).
         what: &'static str,
         /// The deadline that was exceeded.
         after: Duration,
@@ -71,7 +61,6 @@ impl ServeError {
             ServeError::Decode(_) => "decode",
             ServeError::Query(_) => "query",
             ServeError::WorkerPanic(_) => "panic",
-            ServeError::Backpressure { .. } => "backpressure",
             ServeError::Deadline { .. } => "deadline",
             ServeError::Unavailable(_) => "unavailable",
         }
@@ -98,11 +87,6 @@ impl fmt::Display for ServeError {
             | ServeError::Query(m)
             | ServeError::Unavailable(m) => f.write_str(m),
             ServeError::WorkerPanic(m) => write!(f, "worker panicked: {m}"),
-            ServeError::Backpressure { shard, waited } => write!(
-                f,
-                "channel to shard {shard} full for {}ms",
-                waited.as_millis()
-            ),
             ServeError::Deadline { what, after } => {
                 write!(f, "{what} missed its {}ms deadline", after.as_millis())
             }
@@ -147,19 +131,13 @@ mod tests {
         let e = ServeError::WorkerPanic("boom".into());
         assert_eq!(e.code(), "panic");
         assert_eq!(e.to_frame(), b"panic: worker panicked: boom".to_vec());
-        let e = ServeError::Backpressure {
-            shard: 3,
-            waited: Duration::from_millis(250),
-        };
-        assert_eq!(e.code(), "backpressure");
-        assert!(String::from_utf8(e.to_frame()).unwrap().contains("shard 3"));
         let e = ServeError::Deadline {
-            what: "flush",
+            what: "idle session",
             after: Duration::from_millis(10),
         };
         assert!(String::from_utf8(e.to_frame())
             .unwrap()
-            .starts_with("deadline: flush"));
+            .starts_with("deadline: idle session"));
     }
 
     #[test]

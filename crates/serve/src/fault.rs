@@ -2,17 +2,15 @@
 //!
 //! A [`FaultPlan`] is a small list of *one-shot triggers*, each naming
 //! an injection **site**, an occurrence **count** and an **action**.
-//! The sites are compiled into the pipeline and the session loop —
+//! The sites are compiled into the race witness workers and the session
+//! loop —
 //! always present, free when the plan is empty — so a chaos run and a
 //! production run execute the same code. Plans are built from a spec
 //! string (the `csst-serve --faults` flag or the `CSST_FAULTS`
 //! environment variable):
 //!
 //! ```text
-//! panic-worker=<slot>@<n>      hb shard worker <slot> panics on its <n>th message
 //! panic-witness=<slot>@<n>     race witness worker <slot> panics on its <n>th check
-//! delay-send=<slot>@<n>:<ms>   the <n>th batch sent to shard <slot> is delayed <ms> ms
-//! drop-send=<slot>@<n>         the <n>th batch sent to shard <slot> is dropped
 //! corrupt-events=<n>           the <n>th EVENTS payload is corrupted (seeded byte
 //!                              flip + clobbered record header)
 //! reset-conn=<n>               the connection is reset after <n> frames are read
@@ -21,24 +19,19 @@
 //!
 //! Items are comma-separated; counts are 1-based. Every trigger fires
 //! **exactly once** (atomic occurrence counters shared across clones),
-//! which is what makes degraded-mode recovery testable: after the
-//! injected worker panic, the sequential replay of the same events does
-//! not re-fire the fault. All randomness is a seeded xorshift — two
+//! which is what makes recovery testable: after the injected witness
+//! panic, the sequential retry of the same chunk does not re-fire the
+//! fault. All randomness is a seeded xorshift — two
 //! runs with the same plan and the same traffic inject the same faults.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Injection sites (see the [module docs](self) for the spec syntax).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
-    /// One message processed by hb shard worker `slot`.
-    WorkerMsg(usize),
     /// One witness check run by race witness worker `slot`.
     WitnessCheck(usize),
-    /// One batch send to shard `slot`'s channel.
-    Send(usize),
     /// One EVENTS frame payload about to be decoded.
     EventsFrame,
     /// One frame read off a session socket.
@@ -48,12 +41,8 @@ pub enum Site {
 /// What a fired trigger does at its site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
-    /// Panic the current thread (`panic-worker`/`panic-witness`).
+    /// Panic the current thread (`panic-witness`).
     Panic,
-    /// Sleep before proceeding (`delay-send`).
-    Delay(Duration),
-    /// Silently drop the message (`drop-send`).
-    Drop,
     /// Flip one seeded byte of the payload (`corrupt-events`).
     Corrupt,
     /// Reset the connection (`reset-conn`).
@@ -144,27 +133,9 @@ impl FaultPlan {
                 Ok((slot.parse::<usize>().map_err(|_| bad())?, parse_at(at)?))
             };
             let (site, at, action) = match key {
-                "panic-worker" => {
-                    let (slot, at) = parse_slot_at(value)?;
-                    (Site::WorkerMsg(slot), at, Action::Panic)
-                }
                 "panic-witness" => {
                     let (slot, at) = parse_slot_at(value)?;
                     (Site::WitnessCheck(slot), at, Action::Panic)
-                }
-                "drop-send" => {
-                    let (slot, at) = parse_slot_at(value)?;
-                    (Site::Send(slot), at, Action::Drop)
-                }
-                "delay-send" => {
-                    let (head, ms) = value.rsplit_once(':').ok_or_else(bad)?;
-                    let (slot, at) = parse_slot_at(head)?;
-                    let ms = ms.parse::<u64>().map_err(|_| bad())?;
-                    (
-                        Site::Send(slot),
-                        at,
-                        Action::Delay(Duration::from_millis(ms)),
-                    )
                 }
                 "corrupt-events" => (Site::EventsFrame, parse_at(value)?, Action::Corrupt),
                 "reset-conn" => (Site::FrameRead, parse_at(value)?, Action::Reset),
@@ -209,32 +180,11 @@ impl FaultPlan {
         fired
     }
 
-    /// [`Site::WorkerMsg`] helper: panics with a recognizable message
-    /// when the trigger fires.
-    pub fn on_worker_msg(&self, slot: usize) {
-        if self.fire(Site::WorkerMsg(slot)) == Some(Action::Panic) {
-            panic!("injected fault: shard worker {slot} panic");
-        }
-    }
-
     /// [`Site::WitnessCheck`] helper: panics with a recognizable
     /// message when the trigger fires.
     pub fn on_witness_check(&self, slot: usize) {
         if self.fire(Site::WitnessCheck(slot)) == Some(Action::Panic) {
             panic!("injected fault: witness worker {slot} panic");
-        }
-    }
-
-    /// [`Site::Send`] helper: applies a delay in place and reports
-    /// whether the batch must be dropped.
-    pub fn on_send(&self, slot: usize) -> bool {
-        match self.fire(Site::Send(slot)) {
-            Some(Action::Delay(d)) => {
-                std::thread::sleep(d);
-                false
-            }
-            Some(Action::Drop) => true,
-            _ => false,
         }
     }
 
@@ -276,23 +226,17 @@ mod tests {
 
     #[test]
     fn parse_grammar_and_one_shot_firing() {
-        let plan = FaultPlan::parse(
-            "panic-worker=1@3, drop-send=0@2, delay-send=2@1:5, corrupt-events=2, \
-             reset-conn=4, seed=42",
-        )
-        .unwrap();
+        let plan =
+            FaultPlan::parse("panic-witness=1@3, corrupt-events=2, reset-conn=4, seed=42").unwrap();
         assert!(!plan.is_empty());
-        // panic-worker=1@3: third message on slot 1, exactly once.
-        assert_eq!(plan.fire(Site::WorkerMsg(0)), None);
-        assert_eq!(plan.fire(Site::WorkerMsg(1)), None);
-        assert_eq!(plan.fire(Site::WorkerMsg(1)), None);
-        assert_eq!(plan.fire(Site::WorkerMsg(1)), Some(Action::Panic));
-        assert_eq!(plan.fire(Site::WorkerMsg(1)), None, "one-shot");
+        // panic-witness=1@3: third check on slot 1, exactly once.
+        assert_eq!(plan.fire(Site::WitnessCheck(0)), None);
+        assert_eq!(plan.fire(Site::WitnessCheck(1)), None);
+        assert_eq!(plan.fire(Site::WitnessCheck(1)), None);
         // Clones share trigger state.
         let clone = plan.clone();
-        assert!(!clone.on_send(2), "delay fires on first send");
-        assert_eq!(plan.fire(Site::Send(0)), None);
-        assert!(plan.on_send(0), "drop fires on second send");
+        assert_eq!(clone.fire(Site::WitnessCheck(1)), Some(Action::Panic));
+        assert_eq!(plan.fire(Site::WitnessCheck(1)), None, "one-shot");
         // corrupt-events=2: second frame only.
         let mut payload = vec![1, 2, 3, 4];
         assert!(!plan.on_events_frame(&mut payload));
@@ -322,11 +266,11 @@ mod tests {
     #[test]
     fn malformed_specs_are_rejected() {
         for bad in [
-            "panic-worker",
-            "panic-worker=1",
-            "panic-worker=x@1",
-            "panic-worker=1@0",
-            "delay-send=1@2",
+            "panic-witness",
+            "panic-witness=1",
+            "panic-witness=x@1",
+            "panic-witness=1@0",
+            "panic-worker=0@20",
             "frobnicate=1@2",
             "seed=xyz",
         ] {
@@ -340,8 +284,7 @@ mod tests {
     fn empty_plan_is_free_of_actions() {
         let plan = FaultPlan::none();
         assert!(plan.is_empty());
-        assert_eq!(plan.fire(Site::WorkerMsg(0)), None);
-        assert!(!plan.on_send(0));
+        assert_eq!(plan.fire(Site::WitnessCheck(0)), None);
         assert!(!plan.on_frame_read());
         let mut p = vec![9u8; 8];
         assert!(!plan.on_events_frame(&mut p));

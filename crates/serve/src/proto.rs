@@ -20,10 +20,10 @@
 //! An ERROR payload is UTF-8 `<code>: <message>`, where `<code>` is the
 //! machine-readable failure class from
 //! [`ServeError::code`](crate::ServeError::code) (`io`, `protocol`,
-//! `decode`, `query`, `panic`, `backpressure`, `deadline`,
-//! `unavailable`). Every code except `query` is session-fatal: the
-//! server closes the session right after the frame (with a lingering
-//! drain so the frame actually arrives).
+//! `decode`, `query`, `panic`, `deadline`, `unavailable`). Every code
+//! except `query` is session-fatal: the server closes the session right
+//! after the frame (with a lingering drain so the frame actually
+//! arrives).
 //!
 //! Reading is strict: a stream ending mid-frame, a zero-length frame
 //! or a frame above [`MAX_FRAME`] is an error, never a panic; a clean
@@ -169,7 +169,8 @@ pub struct Hello {
     pub index: String,
     /// Event encoding of the session's EVENTS frames.
     pub format: WireFormat,
-    /// Shard workers for the sharded engines.
+    /// Witness workers of a `race` session (race only; ignored by hb
+    /// and the batch analyses).
     pub shards: usize,
     /// Tumbling-window size, if windowed.
     pub window: Option<usize>,

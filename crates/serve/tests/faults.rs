@@ -1,6 +1,6 @@
 //! Fault-injection tests: a real `Server` on loopback with a
 //! deterministic [`FaultPlan`], proving the containment boundaries —
-//! one component fails, one session degrades or errors, everything
+//! one component fails, one session recovers or errors, everything
 //! else (including the final SHUTDOWN exit) is unaffected.
 
 use csst_analyses::registry::{self, IndexKind};
@@ -21,11 +21,7 @@ fn spawn_server_with(cfg: ServerCfg) -> (String, std::thread::JoinHandle<std::io
 }
 
 fn batch_hb_report() -> (u8, String, Vec<String>) {
-    let entry = registry::find("hb").unwrap();
-    let out = entry
-        .run(&entry.demo_trace(), IndexKind::Csst, None)
-        .unwrap();
-    (out.exit_code, out.summary, out.lines)
+    batch_report("hb")
 }
 
 fn run_hb_session(addr: &str) -> csst_serve::Report {
@@ -43,38 +39,57 @@ fn run_hb_session(addr: &str) -> csst_serve::Report {
     client.finish().expect("hb report")
 }
 
-/// The tentpole acceptance scenario: with fault injection enabled, a
-/// shard-worker panic mid-stream degrades that session to the
-/// sequential engine, whose report is byte-identical to the batch CLI —
-/// and a concurrent healthy session is untouched. The server still
-/// exits 0 on SHUTDOWN.
+fn batch_report(analysis: &str) -> (u8, String, Vec<String>) {
+    let entry = registry::find(analysis).unwrap();
+    let out = entry
+        .run(&entry.demo_trace(), IndexKind::Csst, None)
+        .unwrap();
+    (out.exit_code, out.summary, out.lines)
+}
+
+/// A witness-worker panic in a `race` session is a contained panic
+/// boundary: the panicked chunk is re-checked sequentially, so the
+/// report is still byte-identical to the batch run — and a concurrent
+/// healthy hb session is untouched. The server still exits 0 on
+/// SHUTDOWN.
 #[test]
-fn worker_panic_degrades_one_session_and_reports_match_batch() {
-    let faults = FaultPlan::parse("panic-worker=0@20").unwrap();
+fn witness_panic_is_recovered_and_reports_match_batch() {
+    let faults = FaultPlan::parse("panic-witness=0@1").unwrap();
     let cfg = ServerCfg {
         faults: faults.clone(),
         ..Default::default()
     };
     let (addr, handle) = spawn_server_with(cfg);
 
-    // Two concurrent hb sessions; the one-shot trigger fires in
-    // whichever reaches the worker's 20th message first, degrading it.
-    // Degraded or not, both reports must equal the batch run — that is
-    // the whole point of the fallback.
-    let a = {
+    let race = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let hello = Hello {
+                analysis: "race".into(),
+                shards: 2,
+                ..Hello::default()
+            };
+            let mut client = Client::open(&addr, &hello).expect("open race session");
+            client
+                .send_trace(&registry::find("race").unwrap().demo_trace())
+                .expect("send");
+            client.finish().expect("race report")
+        })
+    };
+    let healthy = {
         let addr = addr.clone();
         std::thread::spawn(move || run_hb_session(&addr))
     };
-    let b = {
-        let addr = addr.clone();
-        std::thread::spawn(move || run_hb_session(&addr))
-    };
-    let (code, summary, lines) = batch_hb_report();
-    for report in [a.join().unwrap(), b.join().unwrap()] {
-        assert_eq!(report.exit_code, code);
-        assert_eq!(report.summary, summary);
-        assert_eq!(report.lines, lines);
-    }
+    let race = race.join().unwrap();
+    assert_eq!(
+        (race.exit_code, race.summary, race.lines),
+        batch_report("race")
+    );
+    let healthy = healthy.join().unwrap();
+    assert_eq!(
+        (healthy.exit_code, healthy.summary, healthy.lines),
+        batch_hb_report()
+    );
     assert_eq!(faults.fired(), 1, "the injected panic must have hit");
 
     Client::shutdown_server(&addr).expect("shutdown");
@@ -209,8 +224,9 @@ fn open_with_retry_waits_for_a_late_server() {
 }
 
 /// Text-format EVENTS frames naming a thread beyond the addressable
-/// chains get a `decode:` ERROR naming the line — one used to abort the
-/// server on a multi-GB allocation, the other to panic in the index —
+/// chains get a `decode:` ERROR naming the line — the first and last
+/// used to abort the server on a multi-GB allocation (the last in the
+/// dense CSST pair matrix), the middle one to panic in the index —
 /// while a concurrent healthy text session completes unaffected.
 #[test]
 fn hostile_text_thread_ids_are_decode_errors() {
@@ -226,7 +242,11 @@ fn hostile_text_thread_ids_are_decode_errors() {
         .send_trace(&registry::find("hb").unwrap().demo_trace())
         .expect("send");
 
-    for frame in ["t4000000000 w x0 1\n", "t0 w x0 1\nt70000 w x0 1\n"] {
+    for frame in [
+        "t4000000000 w x0 1\n",
+        "t0 w x0 1\nt70000 w x0 1\n",
+        "t0 r x0 1\nt16000 w x0 1\n",
+    ] {
         let mut stream = TcpStream::connect(tcp).unwrap();
         write_frame(&mut stream, T_HELLO, &text_hello.encode()).unwrap();
         assert_eq!(read_frame(&mut stream).unwrap().unwrap().0, T_OK);
@@ -245,6 +265,79 @@ fn hostile_text_thread_ids_are_decode_errors() {
     assert_eq!(
         (report.exit_code, report.summary, report.lines),
         (code, summary, lines)
+    );
+
+    Client::shutdown_server(&addr).expect("shutdown");
+    handle.join().unwrap().expect("server exits cleanly");
+}
+
+/// The RAPID and CSTB decoders enforce the same chain limit as text: a
+/// RAPID frame with more distinct thread names than chains, and CSTB
+/// records naming an over-limit thread or fork child, each get a
+/// `decode:` ERROR — while a concurrent healthy session's report equals
+/// the batch run.
+#[test]
+fn over_limit_rapid_and_cstb_threads_are_decode_errors() {
+    use csst_core::{ThreadId, MAX_CHAINS};
+    use csst_trace::binary::encode_event;
+    use csst_trace::EventKind;
+
+    let (addr, handle) = spawn_server_with(ServerCfg::default());
+    let tcp = addr.strip_prefix("tcp:").unwrap();
+
+    let mut healthy = Client::open(&addr, &Hello::default()).expect("open healthy session");
+    healthy
+        .send_trace(&registry::find("hb").unwrap().demo_trace())
+        .expect("send");
+
+    let write = EventKind::Write {
+        var: 0.into(),
+        value: 1,
+    };
+    let record = |thread: u32, kind: EventKind| {
+        let mut buf = Vec::new();
+        encode_event(ThreadId(0), &write, &mut buf);
+        encode_event(ThreadId(thread), &kind, &mut buf);
+        buf
+    };
+    let rapid: String = (0..=MAX_CHAINS).map(|i| format!("T{i}|w(V0)\n")).collect();
+    let frames = [
+        (WireFormat::Rapid, rapid.into_bytes()),
+        (WireFormat::Binary, record(16_000, write)),
+        (
+            WireFormat::Binary,
+            record(
+                0,
+                EventKind::Fork {
+                    child: ThreadId(MAX_CHAINS as u32),
+                },
+            ),
+        ),
+    ];
+    for (format, frame) in frames {
+        let hello = Hello {
+            format,
+            ..Hello::default()
+        };
+        let mut stream = TcpStream::connect(tcp).unwrap();
+        // An accepted frame gets no reply: fail instead of hanging.
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        write_frame(&mut stream, T_HELLO, &hello.encode()).unwrap();
+        assert_eq!(read_frame(&mut stream).unwrap().unwrap().0, T_OK);
+        write_frame(&mut stream, T_EVENTS, &frame).unwrap();
+        let (tag, payload) = read_frame(&mut stream).unwrap().expect("error reply");
+        assert_eq!(tag, T_ERROR);
+        let msg = String::from_utf8(payload).unwrap();
+        assert!(msg.starts_with("decode:"), "{format:?}: {msg}");
+        assert!(msg.contains("addressable chains"), "{format:?}: {msg}");
+    }
+
+    let report = healthy.finish().expect("healthy report");
+    assert_eq!(
+        (report.exit_code, report.summary, report.lines),
+        batch_hb_report()
     );
 
     Client::shutdown_server(&addr).expect("shutdown");

@@ -3,6 +3,7 @@
 //! registry.
 
 use csst_analyses::registry::{self, IndexKind};
+use csst_core::{NodeId, PartialOrderIndex};
 use csst_serve::proto::{read_frame, write_frame, WireFormat, T_ERROR, T_EVENTS, T_HELLO, T_OK};
 use csst_serve::{Client, Hello, Server};
 use std::io::Write;
@@ -33,15 +34,16 @@ fn batch_report(analysis: &str, index: &str, window: Option<usize>) -> (u8, Stri
 fn concurrent_sessions_match_batch_and_shutdown_is_clean() {
     let (addr, handle) = spawn_server();
 
-    // Two concurrent sessions with different analyses, formats and
-    // shard counts, plus online queries on the hb session.
+    // Two concurrent sessions with different analyses and formats (the
+    // race session fans its witness checks over 3 workers), plus online
+    // queries on the hb session.
     let addr_hb = addr.clone();
     let hb_session = std::thread::spawn(move || {
         let hello = Hello {
             analysis: "hb".into(),
             index: "csst".into(),
             format: WireFormat::Binary,
-            shards: 2,
+            shards: 1,
             window: None,
         };
         let mut client = Client::open(&addr_hb, &hello).expect("open hb session");
@@ -51,6 +53,24 @@ fn concurrent_sessions_match_batch_and_shutdown_is_clean() {
         assert_eq!(events, trace.total_events().to_string());
         let races = client.query("races").expect("races query");
         assert!(races.parse::<usize>().unwrap() > 0, "demo has hb races");
+        // `ordered` answers from the live index equal the batch order,
+        // for pairs on both sides of it.
+        let hb = csst_analyses::hb::detect::<csst_core::IncrementalCsst>(&trace).hb;
+        let mut answers = Vec::new();
+        for (t1, p1, t2, p2) in [
+            (0, 0, 5, 599),
+            (5, 599, 0, 0),
+            (1, 10, 2, 300),
+            (3, 0, 4, 0),
+        ] {
+            let want = hb.reachable(NodeId::new(t1, p1), NodeId::new(t2, p2));
+            let got = client
+                .query(&format!("ordered {t1} {p1} {t2} {p2}"))
+                .expect("ordered query");
+            assert_eq!(got, want.to_string(), "ordered {t1} {p1} {t2} {p2}");
+            answers.push(want);
+        }
+        assert!(answers.contains(&true) && answers.contains(&false));
         client.finish().expect("hb report")
     });
     let addr_race = addr.clone();
@@ -89,8 +109,9 @@ fn concurrent_sessions_match_batch_and_shutdown_is_clean() {
 fn batch_fallback_windowed_and_query_errors() {
     let (addr, handle) = spawn_server();
 
-    // A non-sharded analysis runs through the batch fallback engine,
-    // windowed, and still matches the local registry run.
+    // An analysis without a streaming engine runs through the batch
+    // fallback engine, windowed, and still matches the local registry
+    // run.
     let hello = Hello {
         analysis: "deadlock".into(),
         index: "csst".into(),

@@ -24,8 +24,8 @@
 //! below.
 
 use crate::event::{EventKind, MemOrder, Method};
-use crate::trace::Trace;
-use csst_core::ThreadId;
+use crate::trace::{check_thread, Trace};
+use csst_core::{ThreadId, MAX_CHAINS};
 use std::fmt;
 
 /// Magic bytes of the whole-trace file form.
@@ -35,12 +35,6 @@ pub const VERSION: u8 = 1;
 /// Largest legal record body (the `AtomicRmw` record: kind + thread +
 /// var + order + two u64 values). Anything larger is corrupt.
 pub const MAX_RECORD: usize = 1 + 4 + 4 + 1 + 8 + 8;
-/// Largest plausible header thread count. The header field is a
-/// pre-sizing hint (records carry their own thread ids and the trace
-/// grows on demand), so a corrupt count must be rejected *before* it
-/// turns into a multi-gigabyte allocation — found by the corruption
-/// property tests.
-pub const MAX_THREADS: usize = 1 << 20;
 
 /// A malformed-input diagnosis; `offset` is the byte position of the
 /// record (or field) that failed.
@@ -83,8 +77,9 @@ pub enum BinError {
         /// The offending method byte.
         value: u8,
     },
-    /// A thread count or thread id exceeds [`MAX_THREADS`] (corrupt,
-    /// and honoring it would allocate unboundedly).
+    /// A header thread count, record thread or `fork`/`join` child
+    /// lies beyond the shared chain limit ([`check_thread`]); honoring
+    /// it would size the thread table and every index by it.
     BadThreadCount {
         /// Byte offset of the header field or record.
         offset: usize,
@@ -119,7 +114,8 @@ impl fmt::Display for BinError {
             BinError::BadThreadCount { offset, value } => {
                 write!(
                     f,
-                    "implausible thread count {value} at byte {offset} (max {MAX_THREADS})"
+                    "thread count or id {value} at byte {offset} beyond the \
+                     {MAX_CHAINS} addressable chains"
                 )
             }
         }
@@ -281,6 +277,15 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> Result<u64, BinError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+
+    /// A thread id within the shared chain limit.
+    fn thread(&mut self) -> Result<ThreadId, BinError> {
+        let id = self.u32()?;
+        check_thread(id).map_err(|_| BinError::BadThreadCount {
+            offset: self.record_at,
+            value: id as usize,
+        })
+    }
 }
 
 /// A decoded record plus the offset of the record after it.
@@ -316,13 +321,7 @@ pub fn decode_event(buf: &[u8], offset: usize) -> Result<Option<Decoded>, BinErr
     }
     let body_end = c.at + body_len;
     let tag = c.u8()?;
-    let thread = ThreadId(c.u32()?);
-    if thread.index() >= MAX_THREADS {
-        return Err(BinError::BadThreadCount {
-            offset,
-            value: thread.index(),
-        });
-    }
+    let thread = c.thread()?;
     let kind = match tag {
         K_READ | K_WRITE => {
             let var = c.u32()?.into();
@@ -339,12 +338,8 @@ pub fn decode_event(buf: &[u8], offset: usize) -> Result<Option<Decoded>, BinErr
         K_RELEASE => EventKind::Release {
             lock: c.u32()?.into(),
         },
-        K_FORK => EventKind::Fork {
-            child: ThreadId(c.u32()?),
-        },
-        K_JOIN => EventKind::Join {
-            child: ThreadId(c.u32()?),
-        },
+        K_FORK => EventKind::Fork { child: c.thread()? },
+        K_JOIN => EventKind::Join { child: c.thread()? },
         K_ALLOC => EventKind::Alloc {
             obj: c.u32()?.into(),
         },
@@ -443,14 +438,17 @@ pub fn parse(bytes: &[u8]) -> Result<Trace, BinError> {
     if bytes[4] != VERSION {
         return Err(BinError::BadVersion(bytes[4]));
     }
-    let threads = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
-    if threads > MAX_THREADS {
+    // The header count is a pre-sizing hint (records carry their own
+    // thread ids), so a corrupt count must be rejected *before* it
+    // turns into a huge allocation.
+    let threads = u32::from_le_bytes(bytes[5..9].try_into().unwrap());
+    if threads > 0 && check_thread(threads - 1).is_err() {
         return Err(BinError::BadThreadCount {
             offset: 5,
-            value: threads,
+            value: threads as usize,
         });
     }
-    let mut trace = Trace::new(threads);
+    let mut trace = Trace::new(threads as usize);
     let mut at = 9;
     while let Some(((thread, kind), next)) = decode_event(bytes, at)? {
         trace.push(thread, kind);
@@ -674,6 +672,62 @@ mod tests {
             decode_event(&[0xFF, 0xFF, 0], 0),
             Err(BinError::BadLength { .. })
         ));
+    }
+
+    #[test]
+    fn thread_ids_beyond_the_chain_universe_are_rejected() {
+        let last = (MAX_CHAINS - 1) as u32;
+        let over = MAX_CHAINS as u32;
+        // Header counts: the full universe is fine, one more is not.
+        let header = |n: u32| {
+            let mut buf = MAGIC.to_vec();
+            buf.push(VERSION);
+            buf.extend_from_slice(&n.to_le_bytes());
+            buf
+        };
+        assert_eq!(parse(&header(over)).unwrap().num_threads(), MAX_CHAINS);
+        assert!(matches!(
+            parse(&header(over + 1)),
+            Err(BinError::BadThreadCount { offset: 5, .. })
+        ));
+        assert!(matches!(
+            parse(&header(u32::MAX)),
+            Err(BinError::BadThreadCount { offset: 5, .. })
+        ));
+        // Record threads and fork/join children, at the second record's
+        // offset so the error names the offending record.
+        let write = EventKind::Write {
+            var: 0.into(),
+            value: 1,
+        };
+        for (thread, kind) in [
+            (over, write),
+            (16_000, write),
+            (
+                0,
+                EventKind::Fork {
+                    child: ThreadId(over),
+                },
+            ),
+            (
+                0,
+                EventKind::Join {
+                    child: ThreadId(u32::MAX),
+                },
+            ),
+        ] {
+            let mut buf = Vec::new();
+            encode_event(ThreadId(last), &write, &mut buf);
+            let second = buf.len();
+            encode_event(ThreadId(thread), &kind, &mut buf);
+            match decode_events(&buf) {
+                Err(e @ BinError::BadThreadCount { offset, .. }) => {
+                    assert_eq!(offset, second);
+                    assert!(e.to_string().contains("addressable chains"), "{e}");
+                }
+                other => panic!("{thread}/{kind:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -38,6 +38,6 @@ pub mod trace;
 
 pub use builder::TraceBuilder;
 pub use event::{Event, EventKind, LockId, MemOrder, Method, ObjId, OpId, VarId};
-pub use trace::{CriticalSection, Trace, VarAccesses};
+pub use trace::{check_thread, CriticalSection, ThreadLimitError, Trace, VarAccesses};
 
 pub use csst_core::{NodeId, ThreadId};

@@ -24,7 +24,7 @@
 
 use crate::event::{EventKind, LockId, VarId};
 use crate::text::ParseError;
-use crate::trace::Trace;
+use crate::trace::{check_thread, Trace};
 use csst_core::ThreadId;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -46,6 +46,12 @@ impl Interner {
         let next = self.map.len() as u32;
         *self.map.entry(name.to_owned()).or_insert(next)
     }
+
+    /// Interns a thread name, refusing a distinct name past the shared
+    /// chain limit ([`check_thread`]).
+    fn thread(&mut self, name: &str, line: usize) -> Result<ThreadId, ParseError> {
+        check_thread(self.intern(name)).map_err(|e| err(line, format!("thread `{name}`: {e}")))
+    }
 }
 
 /// Parses a RAPID/STD-format trace.
@@ -55,7 +61,9 @@ impl Interner {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] for structurally malformed lines.
+/// Returns a [`ParseError`] for structurally malformed lines, and for
+/// more distinct thread names (event threads and `fork`/`join`
+/// children) than the shared chain limit ([`check_thread`]) allows.
 pub fn parse(input: &str) -> Result<Trace, ParseError> {
     let mut trace = Trace::new(0);
     let mut threads = Interner::default();
@@ -80,7 +88,7 @@ pub fn parse(input: &str) -> Result<Trace, ParseError> {
             .ok_or_else(|| err(lineno, "missing operation field"))?
             .trim();
         // Third field (location) is optional and ignored.
-        let t = ThreadId(threads.intern(thread));
+        let t = threads.thread(thread, lineno)?;
         let (name, operand) = match (op.find('('), op.ends_with(')')) {
             (Some(i), true) => (&op[..i], op[i + 1..op.len() - 1].trim()),
             _ => return Err(err(lineno, format!("malformed operation `{op}`"))),
@@ -105,10 +113,10 @@ pub fn parse(input: &str) -> Result<Trace, ParseError> {
                 lock: LockId(locks.intern(operand)),
             },
             "fork" => EventKind::Fork {
-                child: ThreadId(threads.intern(operand)),
+                child: threads.thread(operand, lineno)?,
             },
             "join" => EventKind::Join {
-                child: ThreadId(threads.intern(operand)),
+                child: threads.thread(operand, lineno)?,
             },
             // Events some RAPID producers emit that carry no ordering
             // information for our analyses.
@@ -194,6 +202,32 @@ T0|join(T1)|107
         assert!(e.message.contains("malformed"));
         let e = parse("|w(V1)|3").unwrap_err();
         assert!(e.message.contains("thread"));
+    }
+
+    #[test]
+    fn thread_names_beyond_the_chain_universe_are_rejected() {
+        use csst_core::MAX_CHAINS;
+        // 70,000 distinct names used to intern into a 40.8 GB CSST pair
+        // matrix and abort the analyzer; the first name past the limit
+        // is now a positioned error.
+        let many: String = (0..70_000).map(|i| format!("T{i}|w(V0)|{i}\n")).collect();
+        let e = parse(&many).unwrap_err();
+        assert_eq!(e.line, MAX_CHAINS + 1);
+        assert!(
+            e.message.contains(&format!("thread `T{MAX_CHAINS}`")),
+            "{e}"
+        );
+        assert!(e.message.contains("addressable chains"), "{e}");
+        // A fork/join child counts as a distinct name too.
+        let mut forks: String = (0..MAX_CHAINS - 1)
+            .map(|i| format!("T{i}|w(V0)\n"))
+            .collect();
+        forks.push_str("T0|fork(child)\n");
+        assert!(parse(&forks).is_ok(), "the last addressable name parses");
+        forks.push_str("T0|join(other)\n");
+        let e = parse(&forks).unwrap_err();
+        assert_eq!(e.line, MAX_CHAINS + 1);
+        assert!(e.message.contains("thread `other`"), "{e}");
     }
 
     #[test]

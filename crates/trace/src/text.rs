@@ -26,8 +26,8 @@
 //! consumed by the tools the paper evaluates.
 
 use crate::event::{EventKind, LockId, MemOrder, Method, ObjId, OpId, VarId};
-use crate::trace::Trace;
-use csst_core::{ThreadId, MAX_CHAINS};
+use crate::trace::{check_thread, Trace};
+use csst_core::ThreadId;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -62,18 +62,10 @@ fn parse_id(tok: &str, prefix: &str, line: usize) -> Result<u32, ParseError> {
         .ok_or_else(|| err(line, format!("expected {prefix}<n>, got `{tok}`")))
 }
 
-/// Parses a `t<n>` thread id, rejecting ids beyond the
-/// [`MAX_CHAINS`] chains an index can address: the trace would
-/// allocate a thread table that large, and every index would refuse it.
+/// Parses a `t<n>` thread id within the shared chain limit
+/// ([`check_thread`]).
 fn parse_thread(tok: &str, line: usize) -> Result<ThreadId, ParseError> {
-    let t = parse_id(tok, "t", line)?;
-    if t as usize >= MAX_CHAINS {
-        return Err(err(
-            line,
-            format!("thread id `{tok}` beyond the {MAX_CHAINS} addressable chains"),
-        ));
-    }
-    Ok(ThreadId(t))
+    check_thread(parse_id(tok, "t", line)?).map_err(|e| err(line, e.to_string()))
 }
 
 fn parse_u64(tok: &str, line: usize) -> Result<u64, ParseError> {
@@ -86,8 +78,8 @@ fn parse_u64(tok: &str, line: usize) -> Result<u64, ParseError> {
 /// # Errors
 ///
 /// Returns a [`ParseError`] describing the first malformed line,
-/// including a thread id (of the event or of a `fork`/`join` child) at
-/// or beyond [`MAX_CHAINS`].
+/// including a thread id (of the event or of a `fork`/`join` child)
+/// beyond the shared chain limit ([`check_thread`]).
 pub fn parse(input: &str) -> Result<Trace, ParseError> {
     let mut trace = Trace::new(0);
     for (lineno, raw) in input.lines().enumerate() {
@@ -358,10 +350,14 @@ t0 res op0 1
     #[test]
     fn thread_ids_beyond_the_chain_universe_are_rejected() {
         // Each of these used to reach the indexes: a multi-GB thread
-        // table for the first, a panic in the chain domain for the rest.
+        // table for the first, a panic in the chain domain for the
+        // next, and a 40.8 GB (t16000) or 653 GB (t65535) CSST pair
+        // matrix allocation that aborted `csst_analyze race`.
         for (input, line) in [
             ("t4000000000 w x0 1", 1),
             ("t0 w x0 1\nt70000 w x0 1", 2),
+            ("t16000 w x0 1\nt0 r x0 1", 1),
+            ("t65535 w x0 1\nt0 r x0 1", 1),
             ("t0 fork t65536", 1),
             ("t0 w x0 1\n\nt0 join t70000", 3),
         ] {
@@ -370,6 +366,7 @@ t0 res op0 1
             assert!(e.message.contains("addressable chains"), "{e}");
         }
         // The largest addressable id still parses.
+        use csst_core::MAX_CHAINS;
         let last = format!("t{} w x0 1\nt0 fork t{}", MAX_CHAINS - 1, MAX_CHAINS - 1);
         assert_eq!(parse(&last).unwrap().num_threads(), MAX_CHAINS);
     }

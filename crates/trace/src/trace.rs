@@ -1,8 +1,52 @@
 //! The trace container and its derived views.
 
 use crate::event::{Event, EventKind, LockId, VarId};
-use csst_core::{NodeId, ThreadId};
+use csst_core::{NodeId, ThreadId, MAX_CHAINS};
 use std::collections::HashMap;
+use std::fmt;
+
+/// A decoded thread id at or beyond the [`MAX_CHAINS`] chains an index
+/// can address (see [`check_thread`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThreadLimitError {
+    /// The offending thread id.
+    pub thread: u32,
+}
+
+impl fmt::Display for ThreadLimitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "thread id {} beyond the {MAX_CHAINS} addressable chains",
+            self.thread
+        )
+    }
+}
+
+impl std::error::Error for ThreadLimitError {}
+
+/// The one chain limit every trace decoder enforces (text thread ids,
+/// RAPID interned names, CSTB header counts and record threads, and
+/// the `fork`/`join` children of all three): a thread id must address
+/// one of the [`MAX_CHAINS`] chains. Honoring a larger id would size
+/// the trace's thread table and every index's per-chain state by it —
+/// the dense CSST pair matrix is quadratic in the chain count.
+///
+/// ```
+/// use csst_trace::check_thread;
+/// assert!(check_thread(3).is_ok());
+/// assert!(check_thread(16_000).is_err());
+/// ```
+///
+/// # Errors
+///
+/// [`ThreadLimitError`] for an id at or beyond [`MAX_CHAINS`].
+pub fn check_thread(thread: u32) -> Result<ThreadId, ThreadLimitError> {
+    if thread as usize >= MAX_CHAINS {
+        return Err(ThreadLimitError { thread });
+    }
+    Ok(ThreadId(thread))
+}
 
 /// A concurrent execution trace: per-thread event chains plus the
 /// observed total order.

@@ -84,30 +84,6 @@ for key in old_cells:
         # retired ones go away), so this is informational: the 20% gate
         # applies to the intersection only.
         print(f"{key[0]:<18} {key[1]:<18} {'-':>12} {'-':>12} {'removed':>8}")
-# Shard-scaling efficiency of the NEW baseline: for each representation
-# that ran the ingest_shards* sweep, ops/s per worker relative to the
-# 1-shard point. eff(n) ~= 1.0 means linear scaling; on a single-core
-# host expect eff(n) ~= 1/n (same throughput, n times the workers).
-# Informational only — scaling depends on the host's core count, so it
-# is never gated.
-shard_cells = {}
-for (workload, repr_), m in new_cells.items():
-    if workload.startswith("ingest_shards") and m["supported"]:
-        shard_cells.setdefault(repr_, {})[int(workload[len("ingest_shards"):])] = \
-            m["ops_per_sec"]
-printed_header = False
-for repr_ in sorted(shard_cells):
-    points = shard_cells[repr_]
-    base = points.get(1)
-    if not base:
-        continue
-    if not printed_header:
-        print("\n# shard scaling (NEW): ops/s per worker vs the 1-shard point")
-        printed_header = True
-    line = "  ".join(
-        f"eff({n})={points[n] / (n * base):.2f}" for n in sorted(points) if n != 1
-    )
-    print(f"{repr_:<18} base {base:>12.0f} ops/s  {line}")
 old_repeat = old.get("config", {}).get("repeat", 1)
 new_repeat = new.get("config", {}).get("repeat", 1)
 if old_repeat != new_repeat:
