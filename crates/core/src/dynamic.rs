@@ -43,22 +43,18 @@
 //! witnessed upper bound and each step relaxes only the delta; the
 //! per-pair seed row advances a positional cursor over the raw heap
 //! entries instead of repeating `O(log n)` suffix-minima queries.
-//! While the domain has at most [`MAX_BITSET_CHAINS`] chains — every
-//! workload the paper evaluates — the worklist membership set is a
-//! single packed `u64` word ([`BitFrontier`]) instead of the stamped
-//! arrays. The memo additionally counts hits per entry, and
-//! [`PartialOrderIndex::insert_edges`] bursts end by recomputing the
-//! closures of sources that were actually queried in the closing epoch
-//! ("hot" sources), so steady query/update mixes pay one propagation
-//! per source per epoch instead of one per probe.
+//! Source chains with too few probes to amortize a sweep go to the
+//! per-probe engine instead.
 //!
-//! The domain is capacity-free: chains and positions are witnessed on
-//! demand (see [`PartialOrderIndex`]), and the sparse arrays grow for
-//! free.
+//! Both engines keep their worklist in one [`BitFrontier`], a bit per
+//! addressable chain, so push and clear are bit operations and a pop
+//! scans only queued chains. The domain is capacity-free: chains and
+//! positions are witnessed on demand (see [`PartialOrderIndex`]), and
+//! the sparse arrays grow for free.
 
 use crate::error::PoError;
 use crate::heap::{EdgeHeapStore, MinMultiset};
-use crate::index::{NodeId, Pos, ThreadId, INF, MAX_BITSET_CHAINS};
+use crate::index::{NodeId, Pos, ThreadId, INF};
 use crate::matrix::PairMatrix;
 use crate::reach::{BitFrontier, PartialOrderIndex};
 use crate::sst::SparseSegmentTree;
@@ -66,9 +62,8 @@ use crate::stats::DensityStats;
 use crate::suffix::SuffixMinima;
 use std::cell::RefCell;
 
-/// Default number of source-node closures the epoch-guarded query memo
-/// retains (see [`DynamicPo::set_query_memo_capacity`]).
-const DEFAULT_MEMO_CAPACITY: usize = 16;
+/// Number of source-node closures the epoch-guarded query memo retains.
+const MEMO_CAPACITY: usize = 16;
 
 /// Reusable buffers of the worklist query engine. One instance lives in
 /// each index behind a `RefCell`, so steady-state queries allocate
@@ -81,20 +76,10 @@ struct QueryScratch {
     /// when the matching `val_stamp` entry equals `cur`.
     vals: Vec<Pos>,
     val_stamp: Vec<u32>,
-    /// Worklist membership stamps (`== cur` while queued); used only
-    /// in wide mode.
-    on_list: Vec<u32>,
     /// Stamp of the query in flight; `0` is never a live stamp.
     cur: u32,
-    list: Vec<u32>,
-    /// Packed worklist membership for domains of at most
-    /// [`MAX_BITSET_CHAINS`] chains: one bit per chain in a single
-    /// word, so push/clear are bit ops and the pop scan walks only set
-    /// bits.
-    word: BitFrontier,
-    /// `k > MAX_BITSET_CHAINS`: fall back to the stamped
-    /// `on_list`/`list` worklist.
-    wide: bool,
+    /// Worklist membership: the chains queued for relaxation.
+    queued: BitFrontier,
 }
 
 impl QueryScratch {
@@ -104,19 +89,15 @@ impl QueryScratch {
         if self.vals.len() < k {
             self.vals.resize(k, 0);
             self.val_stamp.resize(k, 0);
-            self.on_list.resize(k, 0);
         }
         self.cur = self.cur.wrapping_add(1);
         if self.cur == 0 {
             // Stamp wrap (once per 2³² queries): hard-reset so stale
             // stamps cannot collide with the new generation.
             self.val_stamp.fill(0);
-            self.on_list.fill(0);
             self.cur = 1;
         }
-        self.list.clear();
-        self.word.clear();
-        self.wide = k > MAX_BITSET_CHAINS;
+        self.queued.clear();
     }
 
     #[inline]
@@ -132,74 +113,35 @@ impl QueryScratch {
 
     #[inline]
     fn push(&mut self, t: usize) {
-        if !self.wide {
-            self.word.insert(t); // idempotent: no membership check needed
-        } else if self.on_list[t] != self.cur {
-            self.on_list[t] = self.cur;
-            self.list.push(t as u32);
-        }
+        self.queued.insert(t); // idempotent: no membership check needed
     }
 
-    /// Pops the queued chain with the **smallest** bound (linear scan:
-    /// the active set is at most `k` chains, and each scan step is two
-    /// array reads — noise next to one suffix-minima query). In bitset
-    /// mode the scan visits only set bits of the packed word.
+    /// Pops the queued chain with the **smallest** bound (ties: lowest
+    /// chain). A linear scan over the queued bits: the active set is
+    /// at most `k` chains, and each step is one array read — noise
+    /// next to one suffix-minima query.
     #[inline]
     fn pop_min(&mut self) -> Option<usize> {
-        if !self.wide {
-            let mut best: Option<usize> = None;
-            for t in self.word.iter() {
-                if best.is_none_or(|b| self.vals[t] < self.vals[b]) {
-                    best = Some(t);
-                }
-            }
-            let t = best?;
-            self.word.remove(t);
-            return Some(t);
-        }
-        let mut best = 0;
-        for i in 1..self.list.len() {
-            if self.vals[self.list[i] as usize] < self.vals[self.list[best] as usize] {
-                best = i;
-            }
-        }
-        let t = (*self.list.get(best)?) as usize;
-        self.list.swap_remove(best);
-        self.on_list[t] = 0;
+        let t = self.queued.iter().min_by_key(|&t| self.vals[t])?;
+        self.queued.remove(t);
         Some(t)
     }
 
     /// Pops the queued chain with the **largest** bound (the backward
-    /// dual of [`pop_min`](Self::pop_min)).
+    /// dual of [`pop_min`](Self::pop_min); ties: lowest chain).
     #[inline]
     fn pop_max(&mut self) -> Option<usize> {
-        if !self.wide {
-            let mut best: Option<usize> = None;
-            for t in self.word.iter() {
-                if best.is_none_or(|b| self.vals[t] > self.vals[b]) {
-                    best = Some(t);
-                }
-            }
-            let t = best?;
-            self.word.remove(t);
-            return Some(t);
-        }
-        let mut best = 0;
-        for i in 1..self.list.len() {
-            if self.vals[self.list[i] as usize] > self.vals[self.list[best] as usize] {
-                best = i;
-            }
-        }
-        let t = (*self.list.get(best)?) as usize;
-        self.list.swap_remove(best);
-        self.on_list[t] = 0;
+        let t = self
+            .queued
+            .iter()
+            .min_by_key(|&t| std::cmp::Reverse(self.vals[t]))?;
+        self.queued.remove(t);
         Some(t)
     }
 
     fn memory_bytes(&self) -> usize {
         self.vals.capacity() * std::mem::size_of::<Pos>()
-            + (self.val_stamp.capacity() + self.on_list.capacity() + self.list.capacity())
-                * std::mem::size_of::<u32>()
+            + self.val_stamp.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -220,13 +162,6 @@ struct MemoEntry {
     dir: Dir,
     t1: u32,
     j1: Pos,
-    /// Queries this entry has served since it was stored. A nonzero
-    /// count marks the source as *hot*: after an
-    /// [`PartialOrderIndex::insert_edges`] burst rolls the epoch, hot
-    /// sources get their closures recomputed eagerly (see
-    /// [`DynamicPo::refresh_hot_sources`]) so the next query burst hits
-    /// the memo immediately.
-    hits: u32,
     vals: Vec<Pos>,
 }
 
@@ -251,28 +186,12 @@ impl QueryMemo {
     }
 
     /// The cached bound of chain `t2` for source `⟨t1, j1⟩`, if a
-    /// closure of the right direction and epoch is cached. A hit bumps
-    /// the entry's hotness counter.
-    fn lookup(&mut self, epoch: u64, dir: Dir, t1: usize, j1: Pos, t2: usize) -> Option<Pos> {
-        self.entries
-            .iter_mut()
-            .find(|e| e.epoch == epoch && e.dir == dir && e.t1 == t1 as u32 && e.j1 == j1)
-            .map(|e| {
-                e.hits = e.hits.saturating_add(1);
-                e.vals.get(t2).copied().unwrap_or(INF)
-            })
-    }
-
-    /// Sources whose closure is worth recomputing after the given
-    /// epoch closed: entries of that epoch that served at least one
-    /// query. At most [`cap`](Self::cap) sources, so the refresh work
-    /// per burst is bounded by the memo capacity.
-    fn hot_sources(&self, epoch: u64) -> Vec<(Dir, usize, Pos)> {
+    /// closure of the right direction and epoch is cached.
+    fn lookup(&self, epoch: u64, dir: Dir, t1: usize, j1: Pos, t2: usize) -> Option<Pos> {
         self.entries
             .iter()
-            .filter(|e| e.epoch == epoch && e.hits > 0)
-            .map(|e| (e.dir, e.t1 as usize, e.j1))
-            .collect()
+            .find(|e| e.epoch == epoch && e.dir == dir && e.t1 == t1 as u32 && e.j1 == j1)
+            .map(|e| e.vals.get(t2).copied().unwrap_or(INF))
     }
 
     /// Caches the complete closure held in `scratch` (unvisited chains
@@ -293,7 +212,6 @@ impl QueryMemo {
                 dir,
                 t1: t1 as u32,
                 j1,
-                hits: 0,
                 vals,
             });
         } else {
@@ -302,7 +220,6 @@ impl QueryMemo {
             e.dir = dir;
             e.t1 = t1 as u32;
             e.j1 = j1;
-            e.hits = 0;
             fill(&mut e.vals);
             self.next = (self.next + 1) % self.cap;
         }
@@ -545,18 +462,6 @@ impl<S: SuffixMinima> DynamicPo<S> {
         self.arrays.density_stats()
     }
 
-    /// Sets the capacity (number of cached source-node closures) of the
-    /// epoch-guarded query memo; `0` disables memoization entirely.
-    ///
-    /// The memo is transparent — answers are identical with any
-    /// capacity (the property tests pin this) — so the knob exists for
-    /// benchmarking and for workloads known to never repeat a source
-    /// node between updates. Changing the capacity drops all cached
-    /// closures.
-    pub fn set_query_memo_capacity(&mut self, cap: usize) {
-        *self.memo.borrow_mut() = QueryMemo::new(cap);
-    }
-
     /// The forward crossing-path fixpoint of Algorithm 2, as a sparse
     /// worklist: returns a position of chain `t2` reachable from
     /// `⟨t1, j1⟩` via at least one cross-chain edge ([`INF`] if none) —
@@ -587,7 +492,7 @@ impl<S: SuffixMinima> DynamicPo<S> {
     /// bounds unconverged.
     fn forward_fixpoint(&self, t1: usize, j1: Pos, t2: usize, stop_at: Pos, exact: bool) -> Pos {
         let epoch = self.epoch;
-        if let Some(v) = self.memo.borrow_mut().lookup(epoch, Dir::Fwd, t1, j1, t2) {
+        if let Some(v) = self.memo.borrow().lookup(epoch, Dir::Fwd, t1, j1, t2) {
             return v;
         }
         let k = self.k();
@@ -656,7 +561,7 @@ impl<S: SuffixMinima> DynamicPo<S> {
     /// answers immediately.
     fn predecessor_raw(&self, t1: usize, j1: Pos, t2: usize) -> Option<Pos> {
         let epoch = self.epoch;
-        if let Some(v) = self.memo.borrow_mut().lookup(epoch, Dir::Bwd, t1, j1, t2) {
+        if let Some(v) = self.memo.borrow().lookup(epoch, Dir::Bwd, t1, j1, t2) {
             return (v != INF).then_some(v);
         }
         let k = self.k();
@@ -695,35 +600,6 @@ impl<S: SuffixMinima> DynamicPo<S> {
         result
     }
 
-    /// Recomputes the closures of hot sources after an
-    /// [`PartialOrderIndex::insert_edges`] burst: every memo entry of
-    /// the just-closed epoch that served at least one query gets its
-    /// fixpoint rerun under the new epoch, so the following query burst
-    /// (the steady `hb`/`race` pattern: update burst, then many probes
-    /// from the same frontier nodes) hits the memo without paying a
-    /// propagation per probe.
-    ///
-    /// Each refresh runs the fixpoint with `t2 = t1`: the source chain
-    /// is never seeded (no self-edges exist) nor relaxed (the engines
-    /// skip `tp == t1`), so the run can never take an early exit — it
-    /// drains completely and therefore memoizes. Work per burst is
-    /// bounded by the memo capacity, and sources stay hot only while
-    /// they keep being queried every epoch (stored entries restart at
-    /// zero hits).
-    fn refresh_hot_sources(&mut self, closed_epoch: u64) {
-        let hot = self.memo.borrow().hot_sources(closed_epoch);
-        for (dir, t1, j1) in hot {
-            match dir {
-                Dir::Fwd => {
-                    self.forward_fixpoint(t1, j1, t1, 0, true);
-                }
-                Dir::Bwd => {
-                    self.predecessor_raw(t1, j1, t1);
-                }
-            }
-        }
-    }
-
     /// Smallest source-chain group the batched sweeps take on
     /// themselves; groups below `min(k, MIN_SWEEP_GROUP)` probes are
     /// answered by the per-probe engine instead. A group sweep enters
@@ -732,6 +608,37 @@ impl<S: SuffixMinima> DynamicPo<S> {
     /// once enough probes share the source chain to amortize that
     /// entry cost.
     const MIN_SWEEP_GROUP: usize = 8;
+
+    /// Routes the nontrivial probes of a batch by source-chain group.
+    /// `work` is sorted into sweep order, so each source chain's probes
+    /// form one run. Runs shorter than `min(k, MIN_SWEEP_GROUP)` are
+    /// answered probe by probe through `single` (called with the probe
+    /// index); the per-probe engine keeps the memo and the bounded
+    /// early exit, which beat a sweep's entry cost there. The remaining
+    /// runs are compacted to the front of `work`, in order; returns
+    /// their length, the prefix the caller sweeps.
+    fn route_small_groups(
+        &self,
+        work: &mut [(u32, Pos, u32)],
+        mut single: impl FnMut(usize),
+    ) -> usize {
+        let min_group = Self::MIN_SWEEP_GROUP.min(self.k().max(2));
+        let (mut kept, mut s) = (0, 0);
+        while s < work.len() {
+            let t1 = work[s].0;
+            let e = s + work[s..].partition_point(|w| w.0 == t1);
+            if e - s >= min_group {
+                work.copy_within(s..e, kept);
+                kept += e - s;
+            } else {
+                for &(_, _, i) in &work[s..e] {
+                    single(i as usize);
+                }
+            }
+            s = e;
+        }
+        kept
+    }
 
     /// The forward group sweep behind
     /// [`PartialOrderIndex::reachable_batch`] and
@@ -973,7 +880,7 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             epoch: 0,
             backward_edges: 0,
             scratch: RefCell::new(QueryScratch::default()),
-            memo: RefCell::new(QueryMemo::new(DEFAULT_MEMO_CAPACITY)),
+            memo: RefCell::new(QueryMemo::new(MEMO_CAPACITY)),
             batch: RefCell::new(BatchScratch::default()),
         }
     }
@@ -989,7 +896,7 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             epoch: 0,
             backward_edges: 0,
             scratch: RefCell::new(QueryScratch::default()),
-            memo: RefCell::new(QueryMemo::new(DEFAULT_MEMO_CAPACITY)),
+            memo: RefCell::new(QueryMemo::new(MEMO_CAPACITY)),
             batch: RefCell::new(BatchScratch::default()),
         }
     }
@@ -1054,11 +961,7 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             self.edges += 1;
         }
         if !edges.is_empty() {
-            let closed = self.epoch;
             self.epoch += 1;
-            // Burst-path only: single-edge inserts stay refresh-free so
-            // fine-grained query/update interleavings pay nothing.
-            self.refresh_hot_sources(closed);
         }
     }
 
@@ -1145,35 +1048,14 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             } // unwitnessed chains carry no edges: stays `false`
         }
         work.sort_unstable_by_key(|&(t1, j1, _)| (t1, std::cmp::Reverse(j1)));
-        // Small groups are better served by the per-probe engine (it
-        // keeps the memo and the bounded early exit); compact the
-        // large ones to the front and sweep only those.
-        let min_group = Self::MIN_SWEEP_GROUP.min(k.max(2));
-        let mut kept = 0usize;
-        let mut s = 0usize;
-        while s < work.len() {
-            let mut e = s + 1;
-            while e < work.len() && work[e].0 == work[s].0 {
-                e += 1;
-            }
-            if e - s >= min_group {
-                work.copy_within(s..e, kept);
-                kept += e - s;
-            } else {
-                for &(_, _, i) in &work[s..e] {
-                    let i = i as usize;
-                    let (from, to) = probes[i];
-                    out[i] = self.reachable(from, to);
-                }
-            }
-            s = e;
-        }
-        if kept > 0 {
-            self.forward_batch_sweep(&work[..kept], |i, s| {
-                let to = probes[i].1;
-                out[i] = s.get(to.thread.index()).is_some_and(|v| v <= to.pos);
-            });
-        }
+        let kept = self.route_small_groups(&mut work, |i| {
+            let (from, to) = probes[i];
+            out[i] = self.reachable(from, to);
+        });
+        self.forward_batch_sweep(&work[..kept], |i, s| {
+            let to = probes[i].1;
+            out[i] = s.get(to.thread.index()).is_some_and(|v| v <= to.pos);
+        });
         self.batch.borrow_mut().order = work;
     }
 
@@ -1195,34 +1077,16 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             }
         }
         work.sort_unstable_by_key(|&(t1, j1, _)| (t1, std::cmp::Reverse(j1)));
-        let min_group = Self::MIN_SWEEP_GROUP.min(k.max(2));
-        let mut kept = 0usize;
-        let mut s = 0usize;
-        while s < work.len() {
-            let mut e = s + 1;
-            while e < work.len() && work[e].0 == work[s].0 {
-                e += 1;
-            }
-            if e - s >= min_group {
-                work.copy_within(s..e, kept);
-                kept += e - s;
-            } else {
-                for &(_, _, i) in &work[s..e] {
-                    let i = i as usize;
-                    let (from, chain) = probes[i];
-                    out[i] = self.successor(from, chain);
-                }
-            }
-            s = e;
-        }
-        if kept > 0 {
-            // INF is never stored in the scratch (seeds and
-            // relaxations only admit improving finite bounds), so a
-            // stamped value is always a real position.
-            self.forward_batch_sweep(&work[..kept], |i, s| {
-                out[i] = s.get(probes[i].1.index());
-            });
-        }
+        let kept = self.route_small_groups(&mut work, |i| {
+            let (from, chain) = probes[i];
+            out[i] = self.successor(from, chain);
+        });
+        // INF is never stored in the scratch (seeds and relaxations
+        // only admit improving finite bounds), so a stamped value is
+        // always a real position.
+        self.forward_batch_sweep(&work[..kept], |i, s| {
+            out[i] = s.get(probes[i].1.index());
+        });
         self.batch.borrow_mut().order = work;
     }
 
@@ -1243,31 +1107,13 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             }
         }
         work.sort_unstable_by_key(|&(t1, j1, _)| (t1, j1));
-        let min_group = Self::MIN_SWEEP_GROUP.min(k.max(2));
-        let mut kept = 0usize;
-        let mut s = 0usize;
-        while s < work.len() {
-            let mut e = s + 1;
-            while e < work.len() && work[e].0 == work[s].0 {
-                e += 1;
-            }
-            if e - s >= min_group {
-                work.copy_within(s..e, kept);
-                kept += e - s;
-            } else {
-                for &(_, _, i) in &work[s..e] {
-                    let i = i as usize;
-                    let (from, chain) = probes[i];
-                    out[i] = self.predecessor(from, chain);
-                }
-            }
-            s = e;
-        }
-        if kept > 0 {
-            self.backward_batch_sweep(&work[..kept], |i, s| {
-                out[i] = s.get(probes[i].1.index());
-            });
-        }
+        let kept = self.route_small_groups(&mut work, |i| {
+            let (from, chain) = probes[i];
+            out[i] = self.predecessor(from, chain);
+        });
+        self.backward_batch_sweep(&work[..kept], |i, s| {
+            out[i] = s.get(probes[i].1.index());
+        });
         self.batch.borrow_mut().order = work;
     }
 
@@ -1586,65 +1432,46 @@ mod tests {
     }
 
     #[test]
-    fn batched_matches_sequential_beyond_bitset_width() {
-        use crate::index::MAX_BITSET_CHAINS;
-        // More chains than fit a bitset word: the worklist runs in
-        // wide (stamped-list) mode and must answer identically.
-        let k = MAX_BITSET_CHAINS as u32 + 6;
+    fn batched_matches_sequential_across_every_frontier_word() {
+        use crate::index::MAX_CHAINS;
+        // A crossing path through every addressable chain, so each
+        // frontier word — up to chain MAX_CHAINS - 1, the last word's
+        // top bit — is pushed and popped by both engines.
+        let k = MAX_CHAINS as u32;
         let mut po = Csst::new();
-        po.ensure_chain(ThreadId(k - 1));
-        assert!(po.chains() > MAX_BITSET_CHAINS);
         let edges: Vec<_> = (0..k - 1).map(|t| (n(t, t + 1), n(t + 1, t + 2))).collect();
         po.insert_edges(&edges).unwrap();
-        let succ_probes: Vec<_> = (0..k)
-            .flat_map(|t2| [(n(0, 0), ThreadId(t2)), (n(3, 0), ThreadId(t2))])
+        assert_eq!(po.chains(), MAX_CHAINS);
+        let probes: Vec<_> = (0..k)
+            .flat_map(|t2| {
+                let c = ThreadId(t2);
+                [(n(0, 0), c), (n(3, 0), c), (n(k - 1, k), c)]
+            })
             .collect();
         let mut out = Vec::new();
-        po.successor_batch(&succ_probes, &mut out);
-        for (p, got) in succ_probes.iter().zip(&out) {
+        po.successor_batch(&probes, &mut out);
+        for (p, got) in probes.iter().zip(&out) {
             assert_eq!(*got, po.successor(p.0, p.1), "successor probe {p:?}");
         }
         assert_eq!(
-            out[2 * (k as usize - 1)],
+            out[3 * (k as usize - 1)],
             Some(k),
-            "end of the crossing chain"
+            "end of the crossing path"
         );
-        po.predecessor_batch(&succ_probes, &mut out);
-        for (p, got) in succ_probes.iter().zip(&out) {
+        po.predecessor_batch(&probes, &mut out);
+        for (p, got) in probes.iter().zip(&out) {
             assert_eq!(*got, po.predecessor(p.0, p.1), "predecessor probe {p:?}");
         }
-        let reach_probes: Vec<_> = (0..k).map(|t2| (n(0, 0), n(t2, t2 + 1))).collect();
+        assert_eq!(out[2], Some(1), "start of the crossing path");
+        let reach_probes: Vec<_> = (0..k)
+            .flat_map(|t2| [(n(0, 0), n(t2, t2 + 1)), (n(0, 0), n(t2, t2))])
+            .collect();
         let mut rout = Vec::new();
         po.reachable_batch(&reach_probes, &mut rout);
         for (p, got) in reach_probes.iter().zip(&rout) {
             assert_eq!(*got, po.reachable(p.0, p.1), "reachable probe {p:?}");
         }
-    }
-
-    #[test]
-    fn hot_source_refresh_is_transparent() {
-        let mut po = Csst::with_capacity(3, 100);
-        po.insert_edges(&[(n(0, 10), n(1, 20)), (n(1, 25), n(2, 30))])
-            .unwrap();
-        // Make both directions of a source hot: the second query of
-        // each pair is served by the memo and bumps the hit counter.
-        for _ in 0..2 {
-            assert_eq!(po.successor(n(0, 5), ThreadId(2)), Some(30));
-            assert_eq!(po.predecessor(n(2, 45), ThreadId(0)), Some(10));
-        }
-        // Bursts refresh hot closures under the new epoch; answers must
-        // track the new edges exactly (the refresh is transparent).
-        po.insert_edges(&[(n(1, 21), n(2, 24))]).unwrap();
-        assert_eq!(po.successor(n(0, 5), ThreadId(2)), Some(24));
-        assert_eq!(po.predecessor(n(2, 45), ThreadId(0)), Some(10));
-        po.insert_edges(&[(n(0, 11), n(2, 44))]).unwrap();
-        assert_eq!(po.successor(n(0, 5), ThreadId(2)), Some(24));
-        assert_eq!(po.predecessor(n(2, 45), ThreadId(0)), Some(11));
-        // A burst with nothing hot (fresh epoch, no queries since) is
-        // still correct.
-        po.insert_edges(&[(n(0, 1), n(1, 2))]).unwrap();
-        po.insert_edges(&[(n(1, 3), n(2, 4))]).unwrap();
-        assert_eq!(po.successor(n(0, 0), ThreadId(2)), Some(4));
+        assert!(rout[2 * (k as usize - 1)] && !rout[2 * (k as usize - 1) + 1]);
     }
 
     #[test]
@@ -1689,7 +1516,7 @@ mod tests {
     fn disabling_the_memo_changes_no_answers() {
         let mut with = Csst::with_capacity(4, 30);
         let mut without = Csst::with_capacity(4, 30);
-        without.set_query_memo_capacity(0);
+        *without.memo.get_mut() = QueryMemo::new(0);
         let edges = [
             (n(0, 2), n(1, 4)),
             (n(1, 6), n(2, 3)),
@@ -1718,9 +1545,10 @@ mod tests {
 
 #[cfg(test)]
 mod worklist_engine {
-    //! The worklist + memo query engine against the paper's dense
-    //! `O(k³)` fixpoint (kept above behind `#[cfg(test)]`), under
-    //! random insert/delete/query scripts so epochs genuinely roll.
+    //! The worklist + memo query engine, memo on and off, against the
+    //! paper's dense `O(k³)` fixpoint (kept above behind
+    //! `#[cfg(test)]`) and the `NaiveIndex` oracle, under random
+    //! insert/delete/query scripts so epochs genuinely roll.
 
     use super::*;
     use crate::naive::NaiveIndex;
@@ -1740,7 +1568,8 @@ mod worklist_engine {
     }
 
     /// Runs one script on a memoized and a memo-free index, checking
-    /// both against the dense fixpoint after every update. With
+    /// both against the dense fixpoint and the `NaiveIndex` oracle
+    /// after every update. With
     /// `forward_only`, targets are rewritten to `to.pos ≥ from.pos`, so
     /// the index never holds a backward edge and the Dijkstra mode
     /// (single-pop finalization + bounded early exit) is what answers;
@@ -1748,7 +1577,7 @@ mod worklist_engine {
     fn run_script(ops: &[Op], cap: u32, forward_only: bool) -> Result<(), TestCaseError> {
         let mut memoized = Csst::new();
         let mut bare = Csst::new();
-        bare.set_query_memo_capacity(0);
+        *bare.memo.get_mut() = QueryMemo::new(0);
         let mut planner = NaiveIndex::new();
         let mut live: Vec<(NodeId, NodeId)> = Vec::new();
         for &op in ops {
@@ -1791,17 +1620,25 @@ mod worklist_engine {
                         }
                         let ds = memoized.dense_successor_raw(t1, j1, t2);
                         let dp = memoized.dense_predecessor_raw(t1, j1, t2);
+                        let u = NodeId::new(t1 as u32, j1);
+                        let c = ThreadId(t2 as u32);
+                        let (es, ep) = (planner.successor(u, c), planner.predecessor(u, c));
+                        prop_assert_eq!(es, (ds != INF).then_some(ds), "dense vs naive");
+                        prop_assert_eq!(ep, dp, "dense vs naive");
                         for po in [&memoized, &bare] {
                             prop_assert_eq!(po.successor_raw(t1, j1, t2), ds);
                             prop_assert_eq!(po.predecessor_raw(t1, j1, t2), dp);
+                            prop_assert_eq!(po.successor(u, c), es);
+                            prop_assert_eq!(po.predecessor(u, c), ep);
                         }
-                        let u = NodeId::new(t1 as u32, j1);
-                        node_probes.push((u, ThreadId(t2 as u32)));
+                        node_probes.push((u, c));
                         // The bound-aware reachable must agree with
-                        // the successor-derived default semantics.
+                        // the oracle and with the successor-derived
+                        // default semantics.
                         for j2 in (0..cap).step_by(4) {
                             let v = NodeId::new(t2 as u32, j2);
-                            let expect = ds != INF && ds <= j2;
+                            let expect = planner.reachable(u, v);
+                            prop_assert_eq!(expect, ds != INF && ds <= j2);
                             prop_assert_eq!(memoized.reachable(u, v), expect);
                             prop_assert_eq!(bare.reachable(u, v), expect);
                             reach_probes.push((u, v));

@@ -34,7 +34,7 @@
 //! [`insert_edge_checked`]: PartialOrderIndex::insert_edge_checked
 
 use crate::error::PoError;
-use crate::index::{NodeId, Pos, ThreadId, MAX_BITSET_CHAINS, MAX_CHAINS, MAX_POS};
+use crate::index::{NodeId, Pos, ThreadId, MAX_CHAINS, MAX_POS};
 
 /// A dynamic-reachability index over a growable chain DAG.
 ///
@@ -493,57 +493,63 @@ pub trait PartialOrderIndex: Send {
     }
 }
 
-/// A closure frontier over at most [`MAX_BITSET_CHAINS`] chains packed
-/// into one `u64` word: bit `t` set ⇔ chain `t` is queued for
-/// relaxation.
+/// Words a [`BitFrontier`] needs for one bit per addressable chain.
+const FRONTIER_WORDS: usize = MAX_CHAINS / 64;
+const _: () = assert!(
+    MAX_CHAINS.is_multiple_of(64),
+    "frontier words must tile MAX_CHAINS"
+);
+
+/// A closure frontier over every addressable chain, packed one bit per
+/// chain into [`MAX_CHAINS`]` / 64` words: bit `t % 64` of word
+/// `t / 64` set ⇔ chain `t` is queued for relaxation.
 ///
-/// The query engines keep their worklist in this word whenever
-/// `k ≤ 64` (every workload the paper evaluates) — membership updates
-/// are single bit operations and draining iterates set bits via
-/// `trailing_zeros`, with no per-chain stamp arrays to touch. Larger
-/// domains fall back to the stamped scratch lists.
+/// The query engines keep their worklist in this set for every domain:
+/// membership updates are single bit operations, clearing is a few
+/// stores, and draining skips zero words and iterates set bits via
+/// `trailing_zeros`, with no per-chain stamp arrays to touch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct BitFrontier(u64);
+pub(crate) struct BitFrontier([u64; FRONTIER_WORDS]);
 
 impl BitFrontier {
     /// Empties the frontier.
     #[inline]
     pub(crate) fn clear(&mut self) {
-        self.0 = 0;
+        self.0 = [0; FRONTIER_WORDS];
     }
 
     /// Queues chain `t` (idempotent).
     #[inline]
     pub(crate) fn insert(&mut self, t: usize) {
-        debug_assert!(t < MAX_BITSET_CHAINS);
-        self.0 |= 1u64 << t;
+        self.0[t / 64] |= 1u64 << (t % 64);
     }
 
     /// Unqueues chain `t` (idempotent).
     #[inline]
     pub(crate) fn remove(&mut self, t: usize) {
-        debug_assert!(t < MAX_BITSET_CHAINS);
-        self.0 &= !(1u64 << t);
+        self.0[t / 64] &= !(1u64 << (t % 64));
     }
 
     /// `true` when no chain is queued.
     #[inline]
     #[cfg(test)]
     pub(crate) fn is_empty(self) -> bool {
-        self.0 == 0
+        self.0.iter().all(|&w| w == 0)
     }
 
     /// Iterates the queued chains in ascending order.
     #[inline]
     pub(crate) fn iter(self) -> impl Iterator<Item = usize> {
-        let mut word = self.0;
-        std::iter::from_fn(move || {
-            if word == 0 {
-                return None;
+        let words = self.0;
+        let (mut i, mut word) = (0, words[0]);
+        std::iter::from_fn(move || loop {
+            if word != 0 {
+                let t = word.trailing_zeros() as usize;
+                word &= word - 1;
+                return Some(i * 64 + t);
             }
-            let t = word.trailing_zeros() as usize;
-            word &= word - 1;
-            Some(t)
+            i += 1;
+            word = *words.get(i)?;
         })
     }
 }
@@ -703,5 +709,20 @@ mod tests {
         f.clear();
         assert!(f.is_empty());
         assert_eq!(f.iter().count(), 0);
+        // Word boundaries: the first and last bit of every word, with
+        // zero words in between that the iteration must skip.
+        let last = MAX_CHAINS - 1;
+        for t in [last, 127, 64, 63] {
+            f.insert(t);
+        }
+        assert_eq!(f.iter().collect::<Vec<_>>(), vec![63, 64, 127, last]);
+        f.remove(64);
+        f.remove(127);
+        assert_eq!(f.iter().collect::<Vec<_>>(), vec![63, last]);
+        f.remove(63);
+        assert_eq!(f.iter().collect::<Vec<_>>(), vec![last]);
+        f.remove(last);
+        assert!(f.is_empty());
+        assert_eq!(f.iter().next(), None);
     }
 }

@@ -666,23 +666,22 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// The worklist query engine: memoized and memo-free CSSTs against the
-// naive and graph oracles, with epochs rolling mid-script.
+// The worklist query engine: memoized CSSTs against the naive and graph
+// oracles, with epochs rolling mid-script. The memo-off counterpart runs
+// as a unit test in `dynamic::worklist_engine`, where the memo is
+// reachable.
 // ---------------------------------------------------------------------------
 
-/// Runs one insert/delete script on a memoized CSST, a memo-disabled
-/// CSST, and both oracles, interleaving a query grid after every
-/// update. Every query is issued **twice** per index so the memoized
-/// one answers the repeat from its closure cache at that exact epoch —
-/// inserts and deletes in the script then genuinely roll the epoch
-/// between bursts. With `forward_only`, target positions are rewritten
+/// Runs one insert/delete script on a CSST and both oracles,
+/// interleaving a query grid after every update. Every query is issued
+/// **twice** so the CSST answers the repeat from its closure cache at
+/// that exact epoch — inserts and deletes in the script then genuinely
+/// roll the epoch between bursts. With `forward_only`, target positions are rewritten
 /// past their sources so the engine's Dijkstra mode (single-pop
 /// finalization, bounded early exit) answers; otherwise backward edges
 /// keep it on the chaotic-iteration fallback.
 fn run_query_engine_script(k: u32, cap: u32, ops: &[PoOp], forward_only: bool) {
-    let mut memoized = Csst::new();
-    let mut bare = Csst::new();
-    bare.set_query_memo_capacity(0);
+    let mut csst = Csst::new();
     let mut naive = NaiveIndex::new();
     let mut graph = GraphIndex::new();
     let mut live: Vec<(NodeId, NodeId)> = Vec::new();
@@ -698,9 +697,7 @@ fn run_query_engine_script(k: u32, cap: u32, ops: &[PoOp], forward_only: bool) {
                 if naive.reachable(v, u) {
                     continue; // keep the relation acyclic
                 }
-                for po in [&mut memoized, &mut bare] {
-                    po.insert_edge(u, v).unwrap();
-                }
+                csst.insert_edge(u, v).unwrap();
                 naive.insert_edge(u, v).unwrap();
                 graph.insert_edge(u, v).unwrap();
                 live.push((u, v));
@@ -710,9 +707,7 @@ fn run_query_engine_script(k: u32, cap: u32, ops: &[PoOp], forward_only: bool) {
                     continue;
                 }
                 let (u, v) = live.swap_remove(i % live.len());
-                for po in [&mut memoized, &mut bare] {
-                    po.delete_edge(u, v).unwrap();
-                }
+                csst.delete_edge(u, v).unwrap();
                 naive.delete_edge(u, v).unwrap();
                 graph.delete_edge(u, v).unwrap();
             }
@@ -727,35 +722,29 @@ fn run_query_engine_script(k: u32, cap: u32, ops: &[PoOp], forward_only: bool) {
                     assert_eq!(graph.successor(u, c), exp_s, "graph successor({u}, {c})");
                     assert_eq!(graph.predecessor(u, c), exp_p);
                     for _ in 0..2 {
-                        assert_eq!(memoized.successor(u, c), exp_s, "memo successor({u}, {c})");
-                        assert_eq!(bare.successor(u, c), exp_s, "bare successor({u}, {c})");
-                        assert_eq!(memoized.predecessor(u, c), exp_p);
-                        assert_eq!(bare.predecessor(u, c), exp_p);
+                        assert_eq!(csst.successor(u, c), exp_s, "memo successor({u}, {c})");
+                        assert_eq!(csst.predecessor(u, c), exp_p);
                     }
                     let v = NodeId::new(t2, (j1 * 7 + t2) % cap);
                     let exp_r = naive.reachable(u, v);
                     assert_eq!(graph.reachable(u, v), exp_r);
                     for _ in 0..2 {
-                        assert_eq!(memoized.reachable(u, v), exp_r, "memo reachable({u}, {v})");
-                        assert_eq!(bare.reachable(u, v), exp_r);
+                        assert_eq!(csst.reachable(u, v), exp_r, "memo reachable({u}, {v})");
                     }
                 }
             }
         }
-        // The same grid through the batched sweeps, with the memo both
-        // hot (memoized, just warmed by the sequential queries above)
-        // and disabled (bare).
-        assert_batched_matches_sequential(&memoized, k, cap);
-        assert_batched_matches_sequential(&bare, k, cap);
+        // The same grid through the batched sweeps, with the memo hot
+        // (just warmed by the sequential queries above).
+        assert_batched_matches_sequential(&csst, k, cap);
         assert_batched_matches_sequential(&graph, k, cap);
     }
 }
 
-/// Exercises the batched sweeps beyond the bitset frontier width: with
-/// `k > MAX_BITSET_CHAINS` the worklist takes the stamped-list fallback
-/// path. Edges are applied in `insert_edges` bursts so query epochs
-/// roll mid-script and the hot-source memo refresh runs between
-/// checkpoints.
+/// Exercises the batched sweeps on a domain wider than one frontier
+/// word: with `k > 64` the worklists queue chains on both sides of a
+/// word boundary. Edges are applied in `insert_edges` bursts so query
+/// epochs roll mid-script between checkpoints.
 fn run_wide_k_batched_script(k: u32, cap: u32, ops: &[PoOp]) {
     let mut po = Csst::new();
     let mut naive = NaiveIndex::new();
@@ -795,7 +784,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn query_engine_matches_oracles_with_and_without_memo(
+    fn query_engine_matches_oracles(
         k in 2u32..5,
         ops in po_ops(5, 12, true)
     ) {
@@ -816,8 +805,8 @@ proptest! {
 
     #[test]
     fn wide_k_batched_matches_sequential(ops in po_ops(66, 6, false)) {
-        // 66 chains > MAX_BITSET_CHAINS (64): the stamped-list
-        // fallback frontier, not the u64 bitset, drives the sweeps.
+        // 66 chains: the frontier's first two words, across the
+        // chain 63/64 boundary, drive the sweeps.
         run_wide_k_batched_script(66, 6, &ops);
     }
 }

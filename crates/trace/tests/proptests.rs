@@ -67,6 +67,19 @@ fn arb_kind() -> impl Strategy<Value = EventKind> {
     ]
 }
 
+/// XORs each `(pos, byte)` flip into `bytes` (positions wrap) and then
+/// truncates to `cut` modulo the length + 1.
+fn corrupt(bytes: &mut Vec<u8>, flips: &[(usize, u8)], cut: usize) {
+    if bytes.is_empty() {
+        return;
+    }
+    for &(pos, byte) in flips {
+        let pos = pos % bytes.len();
+        bytes[pos] ^= byte;
+    }
+    bytes.truncate(cut % (bytes.len() + 1));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -93,19 +106,33 @@ proptest! {
             csst_trace::binary::encode_event(id.thread, &ev.kind, &mut records);
         }
         for mut bytes in [file, records] {
-            for &(pos, byte) in &flips {
-                if !bytes.is_empty() {
-                    let pos = pos % bytes.len();
-                    bytes[pos] ^= byte;
-                }
-            }
-            if !bytes.is_empty() {
-                bytes.truncate(cut % (bytes.len() + 1));
-            }
+            corrupt(&mut bytes, &flips, cut);
             // A value or an error — any panic fails the test harness.
             let _ = csst_trace::binary::parse(&bytes);
             let _ = csst_trace::binary::decode_events(&bytes);
         }
+    }
+
+    /// The same totality property for the two textual decoders: a
+    /// valid text or RAPID encoding, corrupted by byte flips and
+    /// truncation and made valid UTF-8 by `String::from_utf8_lossy`,
+    /// must parse to a `Trace` or a `ParseError` — never panic.
+    #[test]
+    fn text_and_rapid_decoding_survive_arbitrary_corruption(
+        events in prop::collection::vec((0u32..5, arb_kind()), 0..60),
+        flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..12),
+        cut in any::<usize>()
+    ) {
+        let mut trace = Trace::new(5);
+        for (t, kind) in events {
+            trace.push(t, kind);
+        }
+        let mut text = csst_trace::text::write(&trace).into_bytes();
+        corrupt(&mut text, &flips, cut);
+        let _ = csst_trace::text::parse(&String::from_utf8_lossy(&text));
+        let mut rapid = csst_trace::rapid::write(&trace).into_bytes();
+        corrupt(&mut rapid, &flips, cut);
+        let _ = csst_trace::rapid::parse(&String::from_utf8_lossy(&rapid));
     }
 
     #[test]
