@@ -31,14 +31,18 @@
 //! sections must complete before open ones begin.
 //!
 //! Witness checks run once per candidate over a fresh index, so all
-//! trace-level preprocessing (per-variable write tables, section lists,
-//! the grouped reads-from list) is hoisted into a [`ClosureCtx`] built
-//! once per analysis.
+//! trace-level preprocessing is hoisted into a [`ClosureCtx`] built once
+//! per analysis (or window). It interns variables and locks into dense
+//! indices and keeps every per-chain table sorted by position — the
+//! closure's pull lists, the section lists with a running maximum of
+//! their releases, the write positions — so a check reaches its
+//! prefix's share of each table by cursor or binary search and costs
+//! time in its prefix rather than in the whole trace.
 
 use crate::common::{require_order, OrderOutcome};
 use csst_core::{NodeId, PartialOrderIndex, Pos, ThreadId};
-use csst_trace::{CriticalSection, EventKind, LockId, Trace, VarId};
-use std::collections::{HashMap, HashSet};
+use csst_trace::{EventKind, LockId, Trace, VarId};
+use std::collections::HashMap;
 
 /// Saturation statistics and verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,63 +94,93 @@ impl Default for SaturationCfg {
 pub type PrefixBounds = Vec<u32>;
 
 /// Trace-level tables shared by every closure/witness computation of
-/// one analysis run: the reads-from map grouped per variable, the
-/// per-(variable, chain) write positions, the thread-locality filter,
-/// the critical sections, and the fork structure.
+/// one analysis run. Variables and locks are interned into dense
+/// indices and every per-chain table is sorted by position, so a
+/// witness check finds its prefix's share of each table by cursor or
+/// binary search instead of scanning the whole trace.
 #[derive(Debug)]
 pub struct ClosureCtx<'t> {
     /// The underlying trace.
     pub trace: &'t Trace,
     /// The observation: read → writer.
     pub rf: HashMap<NodeId, NodeId>,
-    /// rf pairs grouped by (variable, read position): the closure
-    /// engine works constraint-by-constraint, *not* in trace order —
-    /// every variable group restarts from the beginning of the trace,
-    /// so insertions repeatedly target events deep inside the partial
-    /// order (the non-streaming pattern of §1.1). The streaming
-    /// alternative is [`insert_observation`], used for base orders.
-    rf_grouped: Vec<(NodeId, NodeId)>,
-    /// Sorted write positions per (variable, chain).
-    writes_at: HashMap<(VarId, usize), Vec<Pos>>,
-    /// Variables accessed by more than one thread; all others are
-    /// skipped by the rules (the standard thread-local filter).
-    multi_vars: HashSet<VarId>,
-    /// All critical sections of the trace.
-    sections: Vec<CriticalSection>,
+    /// rf pairs of shared variables with the variable's dense index,
+    /// grouped by (variable, read position): the closure engine works
+    /// constraint-by-constraint, *not* in trace order — every variable
+    /// group restarts from the beginning of the trace, so insertions
+    /// repeatedly target events deep inside the partial order (the
+    /// non-streaming pattern of §1.1). The streaming alternative is
+    /// [`insert_observation`], used for base orders. Reads of variables
+    /// only one thread accesses are left out (the standard
+    /// thread-local filter).
+    rf_grouped: Vec<(NodeId, NodeId, u32)>,
+    /// Sorted write positions of each shared variable on each chain
+    /// `t` of the `k`, at `var * k + t`.
+    writes_at: Vec<Vec<Pos>>,
+    /// All critical sections of the trace, in trace order of their
+    /// acquires.
+    sections: Vec<Section>,
+    /// Number of distinct locks (the dense lock indices of `sections`).
+    locks: usize,
+    /// Each chain's sections, in acquire order.
+    thread_sections: Vec<Vec<ThreadSection>>,
+    /// Each chain's prefix-closure pulls `(pos, chain, bound)`, sorted:
+    /// once event `pos` is in the prefix, so are the first `bound`
+    /// events of `chain`. Reads pull in their writer (unless program
+    /// order already does), joins the whole joined thread.
+    pulls: Vec<Vec<(Pos, u32, Pos)>>,
     /// Fork event per child thread.
     forker: Vec<Option<NodeId>>,
     /// All fork/join events, for prefix-restricted edge insertion.
     fork_join: Vec<(NodeId, EventKind)>,
 }
 
+/// A critical section with its lock interned.
+#[derive(Debug, Clone, Copy)]
+struct Section {
+    lock: u32,
+    acquire: NodeId,
+    release: Option<NodeId>,
+}
+
+/// One entry of a chain's section list.
+#[derive(Debug, Clone, Copy)]
+struct ThreadSection {
+    /// Acquire position on the chain.
+    acquire: Pos,
+    /// Largest `release + 1` over this and the chain's earlier
+    /// sections; unreleased sections contribute nothing.
+    reach: Pos,
+    /// Index into [`ClosureCtx::sections`].
+    ix: u32,
+}
+
 impl<'t> ClosureCtx<'t> {
-    /// Builds the context (one linear pass over the trace, plus the
-    /// trace's own reads-from map if `rf` is `None`).
+    /// Builds the context (linear passes over the trace and the
+    /// reads-from map, which is the trace's own if `rf` is `None`).
     pub fn new(trace: &'t Trace, rf: Option<HashMap<NodeId, NodeId>>) -> Self {
         let rf = rf.unwrap_or_else(|| trace.reads_from());
         let k = trace.num_threads();
-        let mut writes_at: HashMap<(VarId, usize), Vec<Pos>> = HashMap::new();
-        let mut var_thread: HashMap<VarId, Option<ThreadId>> = HashMap::new();
+        let mut var_ix: HashMap<VarId, u32> = HashMap::new();
+        // Per variable: its only accessing thread, `None` once shared.
+        let mut owner: Vec<Option<ThreadId>> = Vec::new();
+        let mut writes: Vec<(u32, NodeId)> = Vec::new();
         let mut forker: Vec<Option<NodeId>> = vec![None; k];
         let mut fork_join = Vec::new();
         for (id, ev) in trace.iter_order() {
             if let Some(var) = ev.kind.var() {
-                var_thread
-                    .entry(var)
-                    .and_modify(|t| {
-                        if *t != Some(id.thread) {
-                            *t = None;
-                        }
-                    })
-                    .or_insert(Some(id.thread));
+                let ix = *var_ix.entry(var).or_insert_with(|| {
+                    owner.push(Some(id.thread));
+                    (owner.len() - 1) as u32
+                });
+                if owner[ix as usize] != Some(id.thread) {
+                    owner[ix as usize] = None;
+                }
+                if ev.kind.is_plain_write() {
+                    writes.push((ix, id));
+                }
             }
             match ev.kind {
-                EventKind::Write { var, .. } => {
-                    writes_at
-                        .entry((var, id.thread.index()))
-                        .or_default()
-                        .push(id.pos);
-                }
                 EventKind::Fork { child } => {
                     if child.index() < k && forker[child.index()].is_none() {
                         forker[child.index()] = Some(id);
@@ -157,41 +191,107 @@ impl<'t> ClosureCtx<'t> {
                 _ => {}
             }
         }
-        let multi_vars: HashSet<VarId> = var_thread
+        // Dense indices of the shared variables (accessed by more than
+        // one thread); thread-local reads are no-ops for every rule
+        // (their rf edge is implied by program order and no cross-chain
+        // constraint can involve them).
+        let mut shared = 0u32;
+        let shared_ix: Vec<Option<u32>> = owner
             .iter()
-            .filter(|(_, t)| t.is_none())
-            .map(|(&v, _)| v)
-            .collect();
-        // Thread-local reads are no-ops for every rule (their rf edge
-        // is implied by program order and no cross-chain constraint can
-        // involve them), so they are filtered out once and for all.
-        let mut rf_grouped: Vec<(NodeId, NodeId)> = rf
-            .iter()
-            .filter(|(r, _)| {
-                trace
-                    .kind(**r)
-                    .var()
-                    .is_some_and(|v| multi_vars.contains(&v))
+            .map(|o| {
+                o.is_none().then(|| {
+                    shared += 1;
+                    shared - 1
+                })
             })
-            .map(|(&r, &w)| (r, w))
             .collect();
-        rf_grouped
-            .sort_unstable_by_key(|&(r, _)| (trace.kind(r).var().map(|v| v.0), trace.trace_pos(r)));
+        let mut writes_at: Vec<Vec<Pos>> = vec![Vec::new(); shared as usize * k];
+        for (ix, id) in writes {
+            if let Some(v) = shared_ix[ix as usize] {
+                writes_at[v as usize * k + id.thread.index()].push(id.pos);
+            }
+        }
+        let mut rf_grouped: Vec<(NodeId, NodeId, u32)> = rf
+            .iter()
+            .filter_map(|(&r, &w)| {
+                let v = shared_ix[var_ix[&trace.kind(r).var()?] as usize]?;
+                Some((r, w, v))
+            })
+            .collect();
+        rf_grouped.sort_unstable_by_key(|&(r, _, _)| {
+            (trace.kind(r).var().map(|v| v.0), trace.trace_pos(r))
+        });
+
+        let mut pulls: Vec<Vec<(Pos, u32, Pos)>> = vec![Vec::new(); k];
+        for (&r, &w) in &rf {
+            // A same-chain writer po-before its read is already implied.
+            let implied = w.thread == r.thread && w.pos < r.pos;
+            if !implied && matches!(trace.kind(r), EventKind::Read { .. }) {
+                pulls[r.thread.index()].push((r.pos, w.thread.0, w.pos + 1));
+            }
+        }
+        for &(id, kind) in &fork_join {
+            if let EventKind::Join { child } = kind {
+                if child.index() < k {
+                    let len = trace.thread_len(child) as u32;
+                    pulls[id.thread.index()].push((id.pos, child.0, len));
+                }
+            }
+        }
+        for p in &mut pulls {
+            p.sort_unstable();
+        }
+
+        let mut lock_ix: HashMap<LockId, u32> = HashMap::new();
+        let mut thread_sections: Vec<Vec<ThreadSection>> = vec![Vec::new(); k];
+        let mut sections = Vec::new();
+        for (ix, cs) in trace.critical_sections().into_iter().enumerate() {
+            let next = lock_ix.len() as u32;
+            let lock = *lock_ix.entry(cs.lock).or_insert(next);
+            let list = &mut thread_sections[cs.acquire.thread.index()];
+            let reach = cs.release.map_or(0, |r| r.pos + 1);
+            list.push(ThreadSection {
+                acquire: cs.acquire.pos,
+                reach: list.last().map_or(reach, |s| s.reach.max(reach)),
+                ix: ix as u32,
+            });
+            sections.push(Section {
+                lock,
+                acquire: cs.acquire,
+                release: cs.release,
+            });
+        }
         ClosureCtx {
             trace,
             rf,
             rf_grouped,
             writes_at,
-            multi_vars,
-            sections: trace.critical_sections(),
+            sections,
+            locks: lock_ix.len(),
+            thread_sections,
+            pulls,
             forker,
             fork_join,
         }
     }
 
-    /// Number of reads-from constraints.
-    pub fn rf_count(&self) -> usize {
-        self.rf.len()
+    /// Chain `t`'s sections whose acquire lies below `bound`.
+    fn sections_below(&self, t: usize, bound: Pos) -> &[ThreadSection] {
+        let list = &self.thread_sections[t];
+        &list[..list.partition_point(|s| s.acquire < bound)]
+    }
+
+    /// Indices (into `sections`) of the sections whose acquire lies in
+    /// the prefix, in trace order.
+    fn sections_in(&self, prefix: Option<&PrefixBounds>) -> Vec<u32> {
+        let mut ixs: Vec<u32> = (0..self.trace.num_threads())
+            .flat_map(|t| {
+                let bound = prefix.map_or(Pos::MAX, |upto| upto[t]);
+                self.sections_below(t, bound).iter().map(|s| s.ix)
+            })
+            .collect();
+        ixs.sort_unstable();
+        ixs
     }
 }
 
@@ -206,78 +306,57 @@ impl<'t> ClosureCtx<'t> {
 ///   always be run until it drops its locks; only the root threads are
 ///   frozen at their roots, deliberately holding whatever they hold).
 ///
+/// Every rule only grows the bounds, so the least fixpoint does not
+/// depend on the order the rules fire in: each chain advances a cursor
+/// over its pull list and rounds by one binary search.
+///
 /// Returns `None` when the closure is forced to include a root itself —
 /// the roots cannot be co-enabled.
 pub fn prefix_closure(ctx: &ClosureCtx<'_>, roots: &[NodeId]) -> Option<PrefixBounds> {
-    let trace = ctx.trace;
-    let k = trace.num_threads();
+    let k = ctx.trace.num_threads();
     let mut root_thread = vec![false; k];
-    for r in roots {
-        root_thread[r.thread.index()] = true;
-    }
     let mut upto: PrefixBounds = vec![0; k];
     for r in roots {
-        upto[r.thread.index()] = upto[r.thread.index()].max(r.pos);
+        let t = r.thread.index();
+        root_thread[t] = true;
+        upto[t] = upto[t].max(r.pos);
     }
-    let mut scanned: Vec<u32> = vec![0; k];
-    let grow = |upto: &mut PrefixBounds, t: usize, bound: u32| {
-        if bound > upto[t] {
-            upto[t] = bound;
-        }
-    };
-    loop {
-        let mut changed = false;
+    let mut cursor = vec![0usize; k];
+    let mut changed = true;
+    while changed {
+        changed = false;
         for t in 0..k {
-            let tid = ThreadId(t as u32);
-            let hi = upto[t].min(trace.thread_len(tid) as u32);
-            while scanned[t] < hi {
-                let id = NodeId::new(tid, scanned[t]);
-                scanned[t] += 1;
-                match *trace.kind(id) {
-                    EventKind::Read { .. } => {
-                        if let Some(&w) = ctx.rf.get(&id) {
-                            if w.pos + 1 > upto[w.thread.index()] {
-                                grow(&mut upto, w.thread.index(), w.pos + 1);
-                                changed = true;
-                            }
-                        }
+            loop {
+                let pulls = &ctx.pulls[t];
+                while let Some(&(pos, u, bound)) = pulls.get(cursor[t]) {
+                    if pos >= upto[t] {
+                        break;
                     }
-                    EventKind::Join { child } if child.index() < k => {
-                        let len = trace.thread_len(child) as u32;
-                        if len > upto[child.index()] {
-                            grow(&mut upto, child.index(), len);
-                            changed = true;
-                        }
+                    cursor[t] += 1;
+                    if bound > upto[u as usize] {
+                        upto[u as usize] = bound;
+                        changed = true;
                     }
-                    _ => {}
                 }
+                // Section rounding for non-root threads.
+                if root_thread[t] {
+                    break;
+                }
+                let reach = ctx.sections_below(t, upto[t]).last().map_or(0, |s| s.reach);
+                if reach <= upto[t] {
+                    break;
+                }
+                upto[t] = reach;
+                changed = true;
             }
             // Fork rule: any included event needs its thread forked.
             if upto[t] > 0 {
                 if let Some(f) = ctx.forker[t] {
                     if f.pos + 1 > upto[f.thread.index()] {
-                        grow(&mut upto, f.thread.index(), f.pos + 1);
+                        upto[f.thread.index()] = f.pos + 1;
                         changed = true;
                     }
                 }
-            }
-        }
-        if !changed {
-            // Section rounding for non-root threads.
-            for cs in &ctx.sections {
-                let t = cs.acquire.thread.index();
-                if root_thread[t] || cs.acquire.pos >= upto[t] {
-                    continue;
-                }
-                if let Some(rel) = cs.release {
-                    if rel.pos >= upto[t] {
-                        grow(&mut upto, t, rel.pos + 1);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
             }
         }
     }
@@ -304,25 +383,19 @@ pub fn saturate_within<P: PartialOrderIndex>(
     prefix: Option<&PrefixBounds>,
 ) -> SaturationOutcome {
     let trace = ctx.trace;
-    let in_prefix = |id: NodeId| -> bool {
-        match prefix {
-            None => true,
-            Some(upto) => id.pos < upto[id.thread.index()],
-        }
-    };
-    let prefix_bound = |t: usize| -> Pos {
-        match prefix {
-            None => Pos::MAX,
-            Some(upto) => upto[t],
-        }
-    };
+    let k = trace.num_threads();
+    let prefix_bound = |t: usize| -> Pos { prefix.map_or(Pos::MAX, |upto| upto[t]) };
+    let in_prefix = |id: NodeId| id.pos < prefix_bound(id.thread.index());
     let mut inserted = 0usize;
 
     // Observation edges, constraint-grouped (see ClosureCtx docs).
-    for &(r, w) in &ctx.rf_grouped {
-        if !in_prefix(r) {
-            continue;
-        }
+    let rf_in: Vec<(NodeId, NodeId, u32)> = ctx
+        .rf_grouped
+        .iter()
+        .copied()
+        .filter(|&(r, _, _)| in_prefix(r))
+        .collect();
+    for &(r, w, _) in &rf_in {
         debug_assert!(in_prefix(w), "prefix closure must include writers");
         match require_order(po, w, r) {
             OrderOutcome::Inserted => inserted += 1,
@@ -332,56 +405,51 @@ pub fn saturate_within<P: PartialOrderIndex>(
     }
 
     // Critical sections, split by the prefix into closed and open.
-    let mut closed_at: HashMap<(LockId, usize), Vec<(Pos, Pos)>> = HashMap::new();
-    let mut closed_flat: Vec<(LockId, NodeId, NodeId)> = Vec::new();
+    // Release-sorted per (lock, chain) at `lock * k + t` for frontier
+    // lookups (a thread's sections on one lock never overlap, so
+    // acquire order is release order); acquire-sorted flat list for
+    // deterministic iteration.
+    let mut closed_at: Vec<Vec<(Pos, Pos)>> = Vec::new();
+    let mut closed_flat: Vec<(u32, NodeId, NodeId)> = Vec::new();
     if cfg.locks {
-        let mut open: HashMap<LockId, Vec<NodeId>> = HashMap::new();
-        for cs in &ctx.sections {
-            if !in_prefix(cs.acquire) {
-                continue;
-            }
+        closed_at = vec![Vec::new(); ctx.locks * k];
+        let mut open: Vec<(u32, NodeId)> = Vec::new();
+        for ix in ctx.sections_in(prefix) {
+            let cs = ctx.sections[ix as usize];
             match cs.release.filter(|&r| in_prefix(r)) {
                 Some(rel) => {
-                    closed_at
-                        .entry((cs.lock, cs.acquire.thread.index()))
-                        .or_default()
-                        .push((cs.acquire.pos, rel.pos));
+                    let at = &mut closed_at[cs.lock as usize * k + cs.acquire.thread.index()];
+                    debug_assert!(at.last().is_none_or(|&(_, r)| r < rel.pos));
+                    at.push((cs.acquire.pos, rel.pos));
                     closed_flat.push((cs.lock, cs.acquire, rel));
                 }
-                None => open.entry(cs.lock).or_default().push(cs.acquire),
+                None => open.push((cs.lock, cs.acquire)),
             }
         }
+        // By lock index, each lock's acquires in trace order.
+        open.sort_by_key(|&(lock, _)| lock);
         // Two sections left open on the same lock cannot both hold it.
-        for acquires in open.values() {
-            for (i, a) in acquires.iter().enumerate() {
-                if acquires[i + 1..].iter().any(|b| b.thread != a.thread) {
-                    return SaturationOutcome::inconsistent(inserted, 0);
-                }
-            }
+        if open
+            .windows(2)
+            .any(|p| p[0].0 == p[1].0 && p[0].1.thread != p[1].1.thread)
+        {
+            return SaturationOutcome::inconsistent(inserted, 0);
         }
         // Closed sections complete before open ones begin.
-        for (lock, acquires) in &open {
-            for &oa in acquires {
-                for &(_, ca, crel) in closed_flat.iter().filter(|&&(l, _, _)| l == *lock) {
-                    if ca.thread == oa.thread {
-                        continue;
-                    }
-                    match require_order(po, crel, oa) {
-                        OrderOutcome::Inserted => inserted += 1,
-                        OrderOutcome::AlreadyOrdered => {}
-                        OrderOutcome::Contradiction => {
-                            return SaturationOutcome::inconsistent(inserted, 0)
-                        }
+        for &(lock, oa) in &open {
+            for &(_, ca, crel) in closed_flat.iter().filter(|&&(l, _, _)| l == lock) {
+                if ca.thread == oa.thread {
+                    continue;
+                }
+                match require_order(po, crel, oa) {
+                    OrderOutcome::Inserted => inserted += 1,
+                    OrderOutcome::AlreadyOrdered => {}
+                    OrderOutcome::Contradiction => {
+                        return SaturationOutcome::inconsistent(inserted, 0)
                     }
                 }
             }
         }
-        // Release-sorted per (lock, chain) for frontier lookups;
-        // acquire-sorted flat list for deterministic iteration.
-        for v in closed_at.values_mut() {
-            v.sort_unstable_by_key(|&(_, rel)| rel);
-        }
-        closed_flat.sort_unstable_by_key(|&(_, a, _)| trace.trace_pos(a));
     }
 
     let in_window = |a: NodeId, b: NodeId| -> bool {
@@ -390,7 +458,6 @@ pub fn saturate_within<P: PartialOrderIndex>(
             Some(win) => trace.trace_pos(a).abs_diff(trace.trace_pos(b)) <= win,
         }
     };
-    let k = trace.num_threads();
 
     let mut rounds = 0usize;
     loop {
@@ -405,34 +472,23 @@ pub fn saturate_within<P: PartialOrderIndex>(
         };
 
         // Rule 1: reads-from maximality (frontier form).
-        for &(r, w) in &ctx.rf_grouped {
-            if !in_prefix(r) {
-                continue;
-            }
-            let var = trace
-                .kind(r)
-                .var()
-                .expect("rf keys are reads of a variable");
-            if !ctx.multi_vars.contains(&var) {
-                continue;
-            }
-            for t in 0..k {
+        for &(r, w, var) in &rf_in {
+            let writes = &ctx.writes_at[var as usize * k..][..k];
+            for (t, ws) in writes.iter().enumerate() {
                 // (a) The latest conflicting write reaching r (per
                 // chain) must be ordered before the observed writer.
                 if let Some(p) = po.predecessor(r, ThreadId(t as u32)) {
-                    if let Some(ws) = ctx.writes_at.get(&(var, t)) {
-                        let i = ws.partition_point(|&x| x <= p);
-                        if i > 0 {
-                            let w2 = NodeId::new(t as u32, ws[i - 1]);
-                            if w2 != w && in_window(w2, r) {
-                                match apply(po, w2, w) {
-                                    Ok(ins) => {
-                                        inserted += ins as usize;
-                                        changed |= ins;
-                                    }
-                                    Err(()) => {
-                                        return SaturationOutcome::inconsistent(inserted, rounds)
-                                    }
+                    let i = ws.partition_point(|&x| x <= p);
+                    if i > 0 {
+                        let w2 = NodeId::new(t as u32, ws[i - 1]);
+                        if w2 != w && in_window(w2, r) {
+                            match apply(po, w2, w) {
+                                Ok(ins) => {
+                                    inserted += ins as usize;
+                                    changed |= ins;
+                                }
+                                Err(()) => {
+                                    return SaturationOutcome::inconsistent(inserted, rounds)
                                 }
                             }
                         }
@@ -441,22 +497,20 @@ pub fn saturate_within<P: PartialOrderIndex>(
                 // (b) The earliest conflicting write reachable from the
                 // observed writer (per chain) must be ordered after r.
                 if let Some(s) = po.successor(w, ThreadId(t as u32)) {
-                    if let Some(ws) = ctx.writes_at.get(&(var, t)) {
-                        let mut i = ws.partition_point(|&x| x < s);
-                        if i < ws.len() && NodeId::new(t as u32, ws[i]) == w {
-                            i += 1;
-                        }
-                        if i < ws.len() && ws[i] < prefix_bound(t) {
-                            let w2 = NodeId::new(t as u32, ws[i]);
-                            if in_window(w2, r) {
-                                match apply(po, r, w2) {
-                                    Ok(ins) => {
-                                        inserted += ins as usize;
-                                        changed |= ins;
-                                    }
-                                    Err(()) => {
-                                        return SaturationOutcome::inconsistent(inserted, rounds)
-                                    }
+                    let mut i = ws.partition_point(|&x| x < s);
+                    if i < ws.len() && NodeId::new(t as u32, ws[i]) == w {
+                        i += 1;
+                    }
+                    if i < ws.len() && ws[i] < prefix_bound(t) {
+                        let w2 = NodeId::new(t as u32, ws[i]);
+                        if in_window(w2, r) {
+                            match apply(po, r, w2) {
+                                Ok(ins) => {
+                                    inserted += ins as usize;
+                                    changed |= ins;
+                                }
+                                Err(()) => {
+                                    return SaturationOutcome::inconsistent(inserted, rounds)
                                 }
                             }
                         }
@@ -468,16 +522,15 @@ pub fn saturate_within<P: PartialOrderIndex>(
         // Rule 2: lock mutual exclusion. For each closed section and
         // chain, the first same-lock section whose release is
         // reachable from our acquire overlaps us unless it starts
-        // after our release.
+        // after our release. Chains with no closed section on the
+        // lock have nothing to probe for.
         for &(lock, a1, r1) in &closed_flat {
-            for t in 0..k {
-                if t == a1.thread.index() {
+            let at = &closed_at[lock as usize * k..][..k];
+            for (t, sects) in at.iter().enumerate() {
+                if t == a1.thread.index() || sects.is_empty() {
                     continue;
                 }
                 let Some(s) = po.successor(a1, ThreadId(t as u32)) else {
-                    continue;
-                };
-                let Some(sects) = closed_at.get(&(lock, t)) else {
                     continue;
                 };
                 let i = sects.partition_point(|&(_, rel)| rel < s);
@@ -610,35 +663,100 @@ pub fn common_lock(trace: &Trace, a: NodeId, b: NodeId) -> bool {
     la.iter().any(|l| lb.contains(l))
 }
 
-/// Critical sections of `trace` whose acquire lies in the prefix,
-/// partitioned into closed and open. Exposed for analyses that need
-/// the raw section structure.
-pub fn sections_in_prefix(
-    trace: &Trace,
-    upto: &PrefixBounds,
-) -> (Vec<CriticalSection>, Vec<CriticalSection>) {
-    let mut closed = Vec::new();
-    let mut open = Vec::new();
-    for cs in trace.critical_sections() {
-        if cs.acquire.pos >= upto[cs.acquire.thread.index()] {
-            continue;
-        }
-        match cs.release {
-            Some(r) if r.pos < upto[r.thread.index()] => closed.push(cs),
-            _ => open.push(cs),
-        }
-    }
-    (closed, open)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CountingIndex;
     use csst_core::{IncrementalCsst, NodeId};
     use csst_trace::TraceBuilder;
+    use proptest::prelude::*;
 
     fn n(t: u32, i: u32) -> NodeId {
         NodeId::new(t, i)
+    }
+
+    /// Reference closure for the proptest, straight from the rules:
+    /// every pass walks each chain's new prefix events (one rf lookup
+    /// per read) and rounds by scanning every section of the trace.
+    fn reference_prefix_closure(ctx: &ClosureCtx<'_>, roots: &[NodeId]) -> Option<PrefixBounds> {
+        let trace = ctx.trace;
+        let k = trace.num_threads();
+        let mut root_thread = vec![false; k];
+        for r in roots {
+            root_thread[r.thread.index()] = true;
+        }
+        let mut upto: PrefixBounds = vec![0; k];
+        for r in roots {
+            upto[r.thread.index()] = upto[r.thread.index()].max(r.pos);
+        }
+        let mut scanned: Vec<u32> = vec![0; k];
+        let grow = |upto: &mut PrefixBounds, t: usize, bound: u32| {
+            if bound > upto[t] {
+                upto[t] = bound;
+            }
+        };
+        loop {
+            let mut changed = false;
+            for t in 0..k {
+                let tid = ThreadId(t as u32);
+                let hi = upto[t].min(trace.thread_len(tid) as u32);
+                while scanned[t] < hi {
+                    let id = NodeId::new(tid, scanned[t]);
+                    scanned[t] += 1;
+                    match *trace.kind(id) {
+                        EventKind::Read { .. } => {
+                            if let Some(&w) = ctx.rf.get(&id) {
+                                if w.pos + 1 > upto[w.thread.index()] {
+                                    grow(&mut upto, w.thread.index(), w.pos + 1);
+                                    changed = true;
+                                }
+                            }
+                        }
+                        EventKind::Join { child } if child.index() < k => {
+                            let len = trace.thread_len(child) as u32;
+                            if len > upto[child.index()] {
+                                grow(&mut upto, child.index(), len);
+                                changed = true;
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                // Fork rule: any included event needs its thread forked.
+                if upto[t] > 0 {
+                    if let Some(f) = ctx.forker[t] {
+                        if f.pos + 1 > upto[f.thread.index()] {
+                            grow(&mut upto, f.thread.index(), f.pos + 1);
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                // Section rounding for non-root threads.
+                for cs in &ctx.sections {
+                    let t = cs.acquire.thread.index();
+                    if root_thread[t] || cs.acquire.pos >= upto[t] {
+                        continue;
+                    }
+                    if let Some(rel) = cs.release {
+                        if rel.pos >= upto[t] {
+                            grow(&mut upto, t, rel.pos + 1);
+                            changed = true;
+                        }
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+        }
+        for r in roots {
+            if upto[r.thread.index()] > r.pos {
+                return None;
+            }
+        }
+        Some(upto)
     }
 
     fn fresh<'t>(trace: &'t Trace) -> (IncrementalCsst, ClosureCtx<'t>) {
@@ -813,10 +931,18 @@ mod tests {
         b.on(0).acquire(g); // (0,2)
         b.on(0).release(g); // (0,3)
         let trace = b.build();
-        let (closed, open) = sections_in_prefix(&trace, &vec![3u32]);
+        let ctx = ClosureCtx::new(&trace, None);
+        let upto = vec![3u32];
+        let (closed, open): (Vec<Section>, Vec<Section>) = ctx
+            .sections_in(Some(&upto))
+            .into_iter()
+            .map(|ix| ctx.sections[ix as usize])
+            .partition(|cs| cs.release.is_some_and(|r| r.pos < upto[0]));
         assert_eq!(closed.len(), 1);
         assert_eq!(open.len(), 1, "g's section is cut open by the prefix");
-        assert_eq!(open[0].lock, g);
+        assert_eq!(open[0].acquire, n(0, 2));
+        assert_ne!(open[0].lock, closed[0].lock);
+        assert_eq!(ctx.sections_in(None), vec![0, 1]);
     }
 
     #[test]
@@ -854,8 +980,9 @@ mod tests {
         b.on(1).read(shared, 1);
         let trace = b.build();
         let ctx = ClosureCtx::new(&trace, None);
-        assert!(ctx.multi_vars.contains(&shared));
-        assert!(!ctx.multi_vars.contains(&private));
+        assert_eq!(ctx.rf.len(), 2, "both reads observe a write");
+        let reads: Vec<NodeId> = ctx.rf_grouped.iter().map(|&(r, _, _)| r).collect();
+        assert_eq!(reads, [n(1, 0)], "only the shared read is kept");
     }
 
     #[test]
@@ -873,5 +1000,110 @@ mod tests {
         let trace = b.build();
         assert!(common_lock(&trace, a, c));
         assert!(!common_lock(&trace, a, d));
+    }
+
+    #[test]
+    fn witness_check_work_is_repeatable() {
+        // Thread 0 ends holding eight locks, taken in reverse index
+        // order; thread 1 closes a section on each in index order. The
+        // closed→open edge of the last lock implies all the others, so
+        // the number of inserts depends on the order the open locks
+        // are visited in.
+        let mut b = TraceBuilder::new();
+        let x = b.var("x");
+        let y = b.var("y");
+        let locks: Vec<LockId> = (0..8).map(|i| b.lock(&format!("l{i}"))).collect();
+        for (i, &l) in locks.iter().enumerate() {
+            b.on(1).acquire(l);
+            b.on(1).write(x, i as u64);
+            b.on(1).release(l);
+        }
+        for &l in locks.iter().rev() {
+            b.on(0).acquire(l);
+            b.on(0).read(y, 0);
+        }
+        let trace = b.build();
+        let ctx = ClosureCtx::new(&trace, None);
+        let upto: PrefixBounds = (0..2)
+            .map(|t| trace.thread_len(ThreadId(t)) as u32)
+            .collect();
+        let run = || {
+            let mut po: CountingIndex<IncrementalCsst> = crate::common::index_for_trace(&trace);
+            let out = saturate_within(&mut po, &ctx, &SaturationCfg::default(), Some(&upto));
+            let c = po.counters();
+            let counts = [
+                c.inserts.get(),
+                c.reachables.get(),
+                c.successors.get(),
+                c.predecessors.get(),
+            ];
+            (out, counts)
+        };
+        let first = run();
+        assert!(first.0.consistent);
+        assert!(first.0.inserted > 0);
+        for _ in 0..4 {
+            assert_eq!(run(), first);
+        }
+    }
+
+    /// A random trace over four threads, three variables and three
+    /// locks: cross-thread reads, fork/join (self and out-of-range
+    /// children included), nested, non-LIFO and unreleased sections.
+    fn random_trace(ops: &[(u8, u32, u32)]) -> Trace {
+        let mut b = TraceBuilder::new();
+        let vars = [b.var("x"), b.var("y"), b.var("z")];
+        let locks = [b.lock("l0"), b.lock("l1"), b.lock("l2")];
+        for (i, &(kind, t, arg)) in ops.iter().enumerate() {
+            let mut c = b.on(t);
+            match kind {
+                0 | 1 => c.write(vars[arg as usize % 3], i as u64),
+                2 | 3 => c.read(vars[arg as usize % 3], 0),
+                4 => c.acquire(locks[arg as usize % 3]),
+                5 => c.release(locks[arg as usize % 3]),
+                6 => c.fork(arg),
+                _ => c.join(arg),
+            };
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prefix_closure_matches_event_scan(
+            ops in prop::collection::vec((0u8..8, 0u32..4, 0u32..5), 1..80),
+            picks in prop::collection::vec((0u32..4, 0u32..1000), 1..4),
+        ) {
+            let trace = random_trace(&ops);
+            let ctx = ClosureCtx::new(&trace, None);
+            let k = trace.num_threads() as u32;
+            let roots: Vec<NodeId> = picks
+                .iter()
+                .filter_map(|&(t, x)| {
+                    let len = trace.thread_len(ThreadId(t % k)) as u32;
+                    (len > 0).then(|| n(t % k, x % len))
+                })
+                .collect();
+            let got = prefix_closure(&ctx, &roots);
+            prop_assert_eq!(&got, &reference_prefix_closure(&ctx, &roots));
+
+            // Per-chain section selection equals filtering every
+            // section, for the closure and for the bare root cut.
+            let mut cut: PrefixBounds = vec![0; k as usize];
+            for r in &roots {
+                cut[r.thread.index()] = cut[r.thread.index()].max(r.pos);
+            }
+            for upto in got.iter().chain([&cut]) {
+                let filtered: Vec<u32> = (0..ctx.sections.len() as u32)
+                    .filter(|&ix| {
+                        let a = ctx.sections[ix as usize].acquire;
+                        a.pos < upto[a.thread.index()]
+                    })
+                    .collect();
+                prop_assert_eq!(ctx.sections_in(Some(upto)), filtered);
+            }
+        }
     }
 }

@@ -410,3 +410,78 @@ fn seven_analyses_smoke_deterministic() {
         l1.verdict
     );
 }
+
+/// FNV-1a (64-bit) over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The witness-check reports (summary and every detail line) of the
+/// four saturation-backed analyses, pinned by hash over two seeds of
+/// each lock-using generator family. Any change to the saturation
+/// engine that moves a single report byte fails here.
+#[test]
+fn witness_check_reports_are_pinned() {
+    use csst_analyses::registry::{find, IndexKind};
+    let mut traces = Vec::new();
+    for seed in [3u64, 11] {
+        traces.push(racy_program(&RacyProgramCfg {
+            threads: 5,
+            events_per_thread: 160,
+            vars: 5,
+            locks: 3,
+            lock_frac: 0.5,
+            shared_frac: 0.4,
+            seed,
+            ..Default::default()
+        }));
+        traces.push(lock_program(&LockProgramCfg {
+            threads: 4,
+            blocks_per_thread: 40,
+            locks: 4,
+            inversion_frac: 0.3,
+            guard_frac: 0.3,
+            vars: 4,
+            seed,
+        }));
+        traces.push(alloc_program(&AllocProgramCfg {
+            threads: 4,
+            objects: 40,
+            locks: 3,
+            seed,
+            ..Default::default()
+        }));
+    }
+    let hashes: Vec<(&str, u64)> = ["race", "deadlock", "membug", "uaf"]
+        .into_iter()
+        .map(|name| {
+            let entry = find(name).expect("registered analysis");
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for trace in &traces {
+                let out = entry.run(trace, IndexKind::Csst, None).expect("batch run");
+                h = fnv1a(h, out.summary.as_bytes());
+                for line in &out.lines {
+                    h = fnv1a(h, b"\n");
+                    h = fnv1a(h, line.as_bytes());
+                }
+                h = fnv1a(h, b"\0");
+            }
+            (name, h)
+        })
+        .collect();
+    // Captured from the event-scanning witness checks, before the
+    // per-chain tables replaced them.
+    assert_eq!(
+        hashes,
+        [
+            ("race", 0x12cb_f032_e725_8fe1),
+            ("deadlock", 0xf20d_8178_6b8e_49cb),
+            ("membug", 0x6ca8_072d_bb33_70d2),
+            ("uaf", 0x5b83_037b_f190_dd7b),
+        ]
+    );
+}
