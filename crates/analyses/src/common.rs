@@ -632,8 +632,8 @@ impl OpCounters {
 }
 
 /// A transparent wrapper counting every operation issued to the inner
-/// index — the instrumentation behind the op-mix columns of
-/// EXPERIMENTS.md.
+/// index, so tests can pin how many inserts, deletes and probes an
+/// analysis issues.
 ///
 /// ```
 /// use csst_analyses::CountingIndex;

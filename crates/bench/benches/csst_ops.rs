@@ -3,37 +3,19 @@
 //! single-lookup queries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use csst_bench::edges;
 use csst_core::{Csst, IncrementalCsst, NodeId, PartialOrderIndex};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 const ELL: u32 = 100_000;
 const WINDOW: u32 = 10_000;
 
 fn random_edge(rng: &mut SmallRng, k: u32) -> (NodeId, NodeId) {
-    let t1 = rng.gen_range(0..k);
-    let mut t2 = rng.gen_range(0..k);
-    while t2 == t1 {
-        t2 = rng.gen_range(0..k);
-    }
-    let i = rng.gen_range(0..ELL);
-    let lo = i.saturating_sub(WINDOW);
-    let hi = (i + WINDOW).min(ELL - 1);
-    (NodeId::new(t1, i), NodeId::new(t2, rng.gen_range(lo..=hi)))
+    edges::random_edge(rng, k, ELL, WINDOW)
 }
 
-fn prefill<P: PartialOrderIndex>(k: u32, edges: usize, seed: u64) -> (P, SmallRng) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut po = P::with_capacity(k as usize, ELL as usize);
-    let mut n = 0;
-    while n < edges {
-        let (u, v) = random_edge(&mut rng, k);
-        if !po.reachable(u, v) && !po.reachable(v, u) {
-            po.insert_edge(u, v).expect("valid edge");
-            n += 1;
-        }
-    }
-    (po, rng)
+fn prefill<P: PartialOrderIndex>(k: u32, n: usize, seed: u64) -> (P, SmallRng) {
+    edges::prefill(k, ELL, WINDOW, n, seed)
 }
 
 fn bench_inserts(c: &mut Criterion) {

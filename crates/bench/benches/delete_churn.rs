@@ -10,7 +10,7 @@
 //! measured rather than asserted.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use csst_bench::perf::streaming_edges;
+use csst_bench::edges::streaming_edges;
 use csst_core::{Csst, GraphIndex, PartialOrderIndex};
 
 const K: u32 = 10;
@@ -31,11 +31,10 @@ fn bench_sliding_retirement(c: &mut Criterion) {
 }
 
 fn run_churn<P: PartialOrderIndex>(b: &mut criterion::Bencher<'_>, window: usize) {
-    // A long circular edge stream (the same acyclic generator as the
-    // `repro -- bench` harness, so the two churn numbers compare); the
-    // bench body advances a sliding frontier through it, wrapping
-    // around (deleting the edge again before re-inserting keeps the
-    // wrap consistent).
+    // A long circular edge stream (the acyclic generator `query_scaling`
+    // prefills with); the bench body advances a sliding frontier
+    // through it, wrapping around (deleting the edge again before
+    // re-inserting keeps the wrap consistent).
     let stream = streaming_edges(K, window * 8, GAP, 0x51D3);
     let mut po = P::with_capacity(K as usize, stream.len() + GAP as usize + 1);
     for &(u, v) in &stream[..window] {

@@ -7,11 +7,18 @@
 //! sweeps `k ∈ {4, 16, 64}` at two edge densities ("sparse" populates
 //! roughly one edge per chain pair; "dense" two orders of magnitude
 //! more), comparing the fully dynamic CSST against the graph and
-//! vector-clock baselines. Probes are the deterministic mix of the
-//! `repro -- bench` harness so the two report comparable shapes.
+//! vector-clock baselines.
+//!
+//! The `reachable_batch` group issues the same 256 probes through
+//! [`PartialOrderIndex::reachable_batch`] in calls of 1, 16 and 256
+//! probes. Calls of 1 pay the per-call setup on every probe; larger
+//! calls let the CSST route each source chain's probes to one group
+//! sweep or, for groups below its minimum sweep size, to per-probe
+//! searches. Every call size reads the same probes, so the three
+//! figures differ only in how the probes are grouped.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use csst_bench::perf::streaming_edges;
+use csst_bench::edges::streaming_edges;
 use csst_core::{Csst, GraphIndex, NodeId, PartialOrderIndex, VectorClockIndex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -100,5 +107,45 @@ fn bench_query_scaling(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_query_scaling);
+/// Probes per call of the `reachable_batch` group; 256 is one call for
+/// all of [`PROBES`].
+const CALL_SIZES: &[usize] = &[1, 16, PROBES];
+
+fn run_batched<P: PartialOrderIndex>(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    k: u32,
+    edges: usize,
+) {
+    let po: P = prefilled(k, edges);
+    let probes = probe_nodes(k, edges);
+    for &size in CALL_SIZES {
+        let id = BenchmarkId::new(format!("{name}/calls_of_{size}"), k);
+        group.bench_with_input(id, &k, |b, _| {
+            let mut out = Vec::with_capacity(size);
+            b.iter(|| {
+                let mut hits = 0usize;
+                for call in probes.chunks(size) {
+                    po.reachable_batch(call, &mut out);
+                    hits += out.iter().filter(|&&r| r).count();
+                }
+                hits
+            });
+        });
+    }
+}
+
+fn bench_reachable_batch(c: &mut Criterion) {
+    for &(density, edges) in DENSITIES {
+        let mut group = c.benchmark_group(format!("query_scaling/{density}/reachable_batch"));
+        group.sample_size(20);
+        for &k in &[4u32, 16, 64] {
+            run_batched::<Csst>(&mut group, "csst_dynamic", k, edges);
+            run_batched::<GraphIndex>(&mut group, "graph", k, edges);
+        }
+        group.finish();
+    }
+}
+
+criterion_group!(benches, bench_query_scaling, bench_reachable_batch);
 criterion_main!(benches);

@@ -1,40 +1,43 @@
 //! Regenerates every table and figure of the CSSTs paper.
 //!
 //! ```text
-//! repro [--scale F] [--out DIR] [--smoke] [--json PATH] [--repeat N] <experiment>...
+//! repro [--scale F] [--out DIR] <experiment>...
 //!
 //! experiments: table1 table2 table3 table4 table5 table6 table7
-//!              figure10 figure11 blocksize ablation all bench
+//!              figure10 figure11 blocksize ablation all
 //! ```
 //!
 //! `--scale` multiplies workload sizes (default 1.0); `--out` writes a
-//! CSV per experiment in addition to the console rendering.
-//!
-//! `bench` is the hot-path perf harness (not part of `all`): it runs
-//! the criterion suites' workloads headlessly and writes the
-//! machine-readable measurements to `--json PATH` (default
-//! `BENCH_PR7.json`); `--smoke` shrinks the workloads for CI.
-//! `scripts/bench.sh --compare OLD.json NEW.json` diffs two such
-//! files and fails on ops/sec regressions.
+//! CSV per experiment in addition to the console rendering. With no
+//! experiment named, `all` runs; an unknown name is an error.
 
-use csst_bench::{blocksize, figure10, perf, scalability, tables, Table};
+use csst_bench::{blocksize, figure10, scalability, tables, Table};
 use std::path::PathBuf;
+
+const EXPERIMENTS: &[&str] = &[
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "figure10",
+    "figure11",
+    "blocksize",
+    "ablation",
+    "all",
+];
 
 struct Args {
     scale: f64,
     out: Option<PathBuf>,
-    smoke: bool,
-    json: PathBuf,
-    repeat: usize,
     experiments: Vec<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut scale = 1.0f64;
     let mut out = None;
-    let mut smoke = false;
-    let mut json = PathBuf::from("BENCH_PR7.json");
-    let mut repeat = 1usize;
     let mut experiments = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -49,32 +52,17 @@ fn parse_args() -> Result<Args, String> {
             "--out" => {
                 out = Some(PathBuf::from(it.next().ok_or("--out needs a value")?));
             }
-            "--smoke" => smoke = true,
-            "--json" => {
-                json = PathBuf::from(it.next().ok_or("--json needs a value")?);
-            }
-            "--repeat" => {
-                repeat = it
-                    .next()
-                    .ok_or("--repeat needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --repeat: {e}"))?;
-                if repeat == 0 {
-                    return Err("--repeat must be at least 1".into());
-                }
-            }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--scale F] [--out DIR] [--smoke] [--json PATH] [--repeat N] <experiment>...\n\
-                     experiments: table1..table7 figure10 figure11 blocksize ablation all bench\n\
-                     bench: headless perf harness, writes measurements to --json PATH\n\
-                            (default BENCH_PR7.json); --smoke shrinks it for CI;\n\
-                            --repeat N keeps the best of N runs per cell"
+                    "usage: repro [--scale F] [--out DIR] <experiment>...\n\
+                     experiments: {}",
+                    EXPERIMENTS.join(" ")
                 );
                 std::process::exit(0);
             }
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
-            other => experiments.push(other.to_string()),
+            other if EXPERIMENTS.contains(&other) => experiments.push(other.to_string()),
+            other => return Err(format!("unknown experiment {other}")),
         }
     }
     if experiments.is_empty() {
@@ -83,9 +71,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         scale,
         out,
-        smoke,
-        json,
-        repeat,
         experiments,
     })
 }
@@ -107,12 +92,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // `bench` is opt-in only: `all` reproduces the paper's artifacts,
-    // the perf harness tracks our own hot paths.
-    let wants = |name: &str| {
-        args.experiments.iter().any(|e| e == name)
-            || (name != "bench" && args.experiments.iter().any(|e| e == "all"))
-    };
+    let wants = |name: &str| args.experiments.iter().any(|e| e == name || e == "all");
     let scale = args.scale;
     eprintln!("# repro at scale {scale}");
 
@@ -205,27 +185,5 @@ fn main() {
         let points = blocksize::stress(&cfg);
         println!("{}", blocksize::render(&points));
         write_out(&args.out, "blocksize", &blocksize::to_csv(&points));
-    }
-
-    if wants("bench") {
-        let mut cfg = if args.smoke {
-            perf::BenchCfg::smoke()
-        } else {
-            perf::BenchCfg::full()
-        };
-        if scale != 1.0 {
-            cfg.inserts = ((cfg.inserts as f64 * scale) as usize).max(100);
-            cfg.churn_ops = ((cfg.churn_ops as f64 * scale) as usize).max(100);
-            cfg.churn_window = ((cfg.churn_window as f64 * scale) as usize).max(16);
-            cfg.queries = ((cfg.queries as f64 * scale) as usize).max(100);
-            cfg.sweep_inserts = ((cfg.sweep_inserts as f64 * scale) as usize).max(100);
-            cfg.sweep_queries = ((cfg.sweep_queries as f64 * scale) as usize).max(100);
-            cfg.ratio_queries = ((cfg.ratio_queries as f64 * scale) as usize).max(100);
-        }
-        let measurements = perf::run_repeated(&cfg, args.repeat);
-        println!("{}", perf::render(&measurements));
-        let json = perf::to_json(&cfg, args.repeat, &measurements);
-        std::fs::write(&args.json, json).expect("write bench json");
-        eprintln!("wrote {}", args.json.display());
     }
 }

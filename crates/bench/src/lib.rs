@@ -12,21 +12,23 @@
 //! * **Figure 11** — controlled scalability of insertions and queries
 //!   vs events per chain, for `k ∈ {10, 20}` ([`scalability`]);
 //! * **the §5.1 block-size stress test** selecting `b = 32`
-//!   ([`blocksize`]);
-//! * **the hot-path perf harness** behind `repro -- bench`, emitting
-//!   the machine-readable `BENCH_*.json` trajectory ([`perf`]).
+//!   ([`blocksize`]).
 //!
 //! Absolute numbers will differ from the paper (different machine,
 //! synthetic traces, scaled sizes); the *shape* — which structure wins,
 //! by roughly what factor, and where the crossovers fall — is the
-//! reproduction target. See EXPERIMENTS.md for the recorded comparison.
+//! reproduction target. `repro` prints each table and figure and, with
+//! `--out DIR`, writes it as CSV; no run's numbers are committed.
+//!
+//! The criterion benches share their edge generators through [`edges`].
+//! The end-to-end benchmark is the separate `perfbench` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blocksize;
+pub mod edges;
 pub mod figure10;
-pub mod perf;
 pub mod report;
 pub mod scalability;
 pub mod tables;

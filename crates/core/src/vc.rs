@@ -28,8 +28,9 @@
 //! [`AnchoredVectorClockIndex`] goes beyond the paper: clocks live only
 //! at *anchors* (endpoints of cross-chain edges) and propagation jumps
 //! from anchor to anchor. This makes updates behave like `O(d·k)`
-//! instead of `O(n·k)` and is included as an ablation point (see
-//! EXPERIMENTS.md); it shows how much of the CSST advantage comes from
+//! instead of `O(n·k)` and is included as an ablation point (the
+//! `ablation` experiment of the `repro` binary prints it beside dense
+//! VCs and CSSTs); it shows how much of the CSST advantage comes from
 //! sparsity alone.
 //!
 //! Neither variant supports deletion: a clock merges its inputs
